@@ -13,6 +13,15 @@ dual basis {mu_i}, the blocks are
 
 The vector-valued stiffness and mass forms decouple componentwise, so K and
 mass stand in for their d diagonal blocks.
+
+Every element is an affine image of its reference cell, so each local block
+is a reference-cell tensor, integrated with the reference rule, contracted
+with the element's det J (and J^-1 where a gradient enters), for example
+
+    K_e[i, j] = ref[i, j, m, n] (det J J^-1 J^-T)_e[m, n],
+    ref[i, j, m, n] = int dphi_i/dxhat_m dphi_j/dxhat_n
+
+(the reference-tensor form of Kirby & Logg, ACM TOMS 2006).
 """
 
 from dataclasses import dataclass
@@ -71,21 +80,27 @@ class ScatteredData:
         return self.n >= self.dim + 1 and self.affine_rank() == self.dim
 
 
-class _QuadCache:
-    """Per-mesh basis/gradient tables at the assembly quadrature points."""
+def _element_matrices(mesh, degree, test, trial, geometry=None):
+    """Local matrices A[e, i, j] = ref[i, j, s, t] * geometry[e, s, t].
 
-    def __init__(self, mesh, degree):
-        pair = mesh.element_pair
-        rule = quadrature(mesh.cell_kind, degree)
-        self.rule = rule
-        self.phi = pair.nodal_eval(rule.points)        # (q, nl)
-        self.dphi = pair.nodal_grad(rule.points)       # (q, nl, d)
-        self.mu = pair.dual_eval(rule.points)          # (q, nl)
-        if np.any(mesh.det_jacobians <= 0):
-            raise ValueError("mesh contains a degenerate element")
-        self.wdet = rule.weights[None, :] * mesh.det_jacobians[:, None]  # (e, q)
-        # physical gradients g[e,q,i,k] = dphi[q,i,m] invJ[e,m,k]
-        self.grad = np.einsum("qim,emk->eqik", self.dphi, mesh.inv_jacobians)
+    ref[i, j, s, t] = int test[i, s] trial[j, t] over the reference cell, for
+    the bases 'phi' and 'mu' (s = 1) or 'grad', the reference gradient of phi
+    (s = d). `geometry` holds each element's affine factors; it defaults to
+    det J.
+    """
+    if np.any(mesh.det_jacobians <= 0):
+        raise ValueError("mesh contains a degenerate element")
+    pair = mesh.element_pair
+    rule = quadrature(mesh.cell_kind, degree)
+    tables = {"phi": pair.nodal_eval(rule.points)[:, :, None],
+              "mu": pair.dual_eval(rule.points)[:, :, None],
+              "grad": pair.nodal_grad(rule.points)}
+    ref = np.einsum("q,qis,qjt->ijst", rule.weights, tables[test], tables[trial])
+    if geometry is None:
+        geometry = mesh.det_jacobians
+    nl = ref.shape[0]
+    flat = geometry.reshape(len(geometry), -1) @ ref.reshape(nl * nl, -1).T
+    return flat.reshape(-1, nl, nl)
 
 
 def _scatter(mesh, local):
@@ -103,17 +118,15 @@ def _scatter(mesh, local):
 
 def assemble_stiffness(mesh, degree=DEFAULT_QUAD_DEGREE):
     """Scalar stiffness matrix; symmetric, constants in the kernel."""
-    q = _QuadCache(mesh, degree)
-    local = np.einsum("eq,eqik,eqjk->eij", q.wdet, q.grad, q.grad)
-    return _scatter(mesh, local)
+    invj = mesh.inv_jacobians
+    geometry = mesh.det_jacobians[:, None, None] * (invj @ invj.transpose(0, 2, 1))
+    return _scatter(mesh, _element_matrices(mesh, degree, "grad", "grad", geometry))
 
 
 def assemble_mass(mesh, degree=DEFAULT_QUAD_DEGREE, space="primal"):
     """Scalar mass matrix of the primal (default) or dual basis."""
-    q = _QuadCache(mesh, degree)
-    b = q.phi if space == "primal" else q.mu
-    local = np.einsum("eq,qi,qj->eij", q.wdet, b, b)
-    return _scatter(mesh, local)
+    b = "phi" if space == "primal" else "mu"
+    return _scatter(mesh, _element_matrices(mesh, degree, b, b))
 
 
 def assemble_gram_full(mesh, degree=DEFAULT_QUAD_DEGREE):
@@ -122,9 +135,7 @@ def assemble_gram_full(mesh, degree=DEFAULT_QUAD_DEGREE):
     Diagonal by construction of the bases; assembled in full only to verify
     that.
     """
-    q = _QuadCache(mesh, degree)
-    local = np.einsum("eq,qi,qj->eij", q.wdet, q.mu, q.phi)
-    return _scatter(mesh, local)
+    return _scatter(mesh, _element_matrices(mesh, degree, "mu", "phi"))
 
 
 def assemble_gram_diagonal(mesh, degree=DEFAULT_QUAD_DEGREE, check=False):
@@ -145,10 +156,10 @@ def assemble_gram_diagonal(mesh, degree=DEFAULT_QUAD_DEGREE, check=False):
                 f"(max diagonal {diag.max():.3e})"
             )
     else:
-        q = _QuadCache(mesh, degree)
-        local = np.einsum("eq,qi,qi->ei", q.wdet, q.mu, q.phi)
-        diag = np.zeros(mesh.n_vertices)
-        np.add.at(diag, mesh.elements.ravel(), local.ravel())
+        local = _element_matrices(mesh, degree, "mu", "phi").diagonal(axis1=1, axis2=2)
+        diag = np.bincount(
+            mesh.elements.ravel(), weights=local.ravel(), minlength=mesh.n_vertices
+        )
     if np.any(diag <= 0):
         raise BiorthogonalityError("nonpositive Gram diagonal entry")
     return diag
@@ -163,13 +174,13 @@ def assemble_grad_coupling(mesh, test="dual", degree=DEFAULT_QUAD_DEGREE):
     """
     if test not in ("dual", "primal"):
         raise ValueError(f"test must be 'dual' or 'primal', got {test!r}")
-    q = _QuadCache(mesh, degree)
-    tests = q.mu if test == "dual" else q.phi
-    blocks = []
-    for k in range(mesh.dim):
-        local = np.einsum("eq,qi,eqj->eij", q.wdet, tests, q.grad[:, :, :, k])
-        blocks.append(_scatter(mesh, local))
-    return tuple(blocks)
+    basis = "mu" if test == "dual" else "phi"
+    # d_k phi_j = dphi_j/dxhat_m (J^-1)[m, k]
+    det_invj = mesh.det_jacobians[:, None, None] * mesh.inv_jacobians
+    return tuple(
+        _scatter(mesh, _element_matrices(mesh, degree, basis, "grad", det_invj[:, :, k]))
+        for k in range(mesh.dim)
+    )
 
 
 def evaluation_matrix(mesh, points):

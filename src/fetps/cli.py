@@ -2,42 +2,30 @@
 
 All commands print one machine-readable JSON object to stdout and human
 readable progress/tables to stderr. Exit codes: 0 ok, 2 input error,
-3 domain error, 4 solver failure. FETPS_THREADS caps the worker threads of
-the numerical backend when set.
+3 domain error, 4 solver failure. To cap the worker threads of the
+numerical backend, set OMP_NUM_THREADS / OPENBLAS_NUM_THREADS before
+launching; numpy reads them once, when it is first imported.
 """
 
 import argparse
 import csv
 import json
-import os
 import sys
 
+import numpy as np
 
-def _cap_threads():
-    n = os.environ.get("FETPS_THREADS")
-    if not n:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, n)
-
-
-_cap_threads()
-
-import numpy as np  # noqa: E402  (thread caps must be set first)
-
-from .assembly import ScatteredData  # noqa: E402
-from .errors import (  # noqa: E402
+from .assembly import ScatteredData
+from .errors import (
     DataFormatError,
     NoConvergenceError,
     OutOfDomainError,
     SingularSystemError,
 )
-from .fields import get_field  # noqa: E402
-from .mesh import Domain, build_structured_mesh  # noqa: E402
-from .smoother import FitConfig, Smoother, fit, functional_value  # noqa: E402
-from .study import ALL_COLUMNS, StudyConfig, run_study, sample_scattered  # noqa: E402
-from .system import SolverConfig  # noqa: E402
+from .fields import get_field
+from .mesh import Domain, build_structured_mesh
+from .smoother import FitConfig, Smoother, fit, functional_value
+from .study import ALL_COLUMNS, StudyConfig, run_study, sample_scattered
+from .system import SolverConfig
 
 EXIT_OK = 0
 EXIT_INPUT = 2

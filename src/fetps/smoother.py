@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import assemble_gram_diagonal, assemble_system
+from .assembly import assemble_grad_coupling, assemble_gram_diagonal, assemble_system
 from .elements import quadrature
 from .errors import DataFormatError, SingularSystemError
 from .mesh import locate_points, mesh_from_dict, mesh_to_dict
-from .system import SolverConfig, condense, recover_auxiliary, solve_reduced
+from .system import condense, recover_auxiliary, recover_gradient, solve_reduced
 
 SMOOTHER_FORMAT = "fetps-smoother"
 SMOOTHER_VERSION = 1
@@ -103,12 +103,16 @@ class Smoother:
             if int(data["version"]) > SMOOTHER_VERSION:
                 raise DataFormatError(f"unsupported smoother version {data['version']}")
             mesh = mesh_from_dict(data["mesh"])
+            n, d = mesh.n_vertices, mesh.dim
+            fields = {k: np.asarray(data[k], dtype=float) for k in ("u", "sigma", "phi")}
+            for name, shape in (("u", (n,)), ("sigma", (d, n)), ("phi", (d, n))):
+                if fields[name].shape != shape or not np.isfinite(fields[name]).all():
+                    raise DataFormatError(f"smoother {name} must be finite with shape "
+                                          f"{shape}, got shape {fields[name].shape}")
             diag = data.get("diagnostics", {})
             return cls(
                 mesh=mesh,
-                u=np.asarray(data["u"], dtype=float),
-                sigma=np.asarray(data["sigma"], dtype=float),
-                phi=np.asarray(data["phi"], dtype=float),
+                **fields,
                 alpha=float(data["alpha"]),
                 iterations=diag.get("iterations", 0),
                 residual=diag.get("residual", 0.0),
@@ -202,6 +206,34 @@ def fe_gradient_on_elements(mesh, coeffs, eids, refs):
     return np.einsum("mi,mid->md", local, phys)
 
 
+# -- quadrature on the mesh ---------------------------------------------------
+
+def element_quadrature(mesh, degree):
+    """A reference rule mapped to every element.
+
+    Returns the rule, the physical points (e, q, d) and the weights
+    w_q * det J_e, shape (e, q).
+    """
+    rule = quadrature(mesh.cell_kind, degree)
+    points = mesh.element_origin[:, None, :] + rule.points @ mesh.jacobians.transpose(0, 2, 1)
+    weights = rule.weights[None, :] * mesh.det_jacobians[:, None]
+    return rule, points, weights
+
+
+def fe_at_quadrature(mesh, coeffs, rule):
+    """Values and gradients of FE functions at a rule's points on every element.
+
+    `coeffs` holds vertex coefficients in its last axis, shape (..., n);
+    returns values (..., e, q) and gradients (..., e, q, d), the latter from
+    the reference gradients and J^-1.
+    """
+    pair = mesh.element_pair
+    local = np.asarray(coeffs, dtype=float)[..., mesh.elements]  # (..., e, nl)
+    values = local @ pair.nodal_eval(rule.points).T
+    ref_grads = np.einsum("...ei,qim->...eqm", local, pair.nodal_grad(rule.points))
+    return values, ref_grads @ mesh.inv_jacobians
+
+
 # -- quasi-projection and interpolation -------------------------------------
 
 def quasi_project(mesh, v, degree=5):
@@ -211,45 +243,24 @@ def quasi_project(mesh, v, degree=5):
     are reproduced exactly up to quadrature. `v` maps an (m, d) array of
     points to m values.
     """
-    pair = mesh.element_pair
-    rule = quadrature(mesh.cell_kind, degree)
-    mu = pair.dual_eval(rule.points)  # (q, nl)
-    # physical quadrature points for every element
-    phys = mesh.element_origin[:, None, :] + np.einsum(
-        "ekd,qd->eqk", mesh.jacobians, rule.points
+    rule, points, weights = element_quadrature(mesh, degree)
+    vals = np.asarray(v(points.reshape(-1, mesh.dim)), dtype=float)
+    local = (weights * vals.reshape(weights.shape)) @ mesh.element_pair.dual_eval(rule.points)
+    moments = np.bincount(
+        mesh.elements.ravel(), weights=local.ravel(), minlength=mesh.n_vertices
     )
-    vals = np.asarray(v(phys.reshape(-1, mesh.dim)), dtype=float).reshape(
-        mesh.n_elements, -1
-    )
-    wdet = rule.weights[None, :] * mesh.det_jacobians[:, None]
-    local = np.einsum("eq,eq,qi->ei", wdet, vals, mu)
-    moments = np.zeros(mesh.n_vertices)
-    np.add.at(moments, mesh.elements.ravel(), local.ravel())
-    c = assemble_gram_diagonal(mesh)
-    return moments / c
+    return moments / assemble_gram_diagonal(mesh)
 
 
-def quasi_project_gradient(mesh, coeffs, degree=2):
+def quasi_project_gradient(mesh, coeffs):
     """Recovered-gradient coefficients of an FE function: Q applied to grad.
 
-    Returns a (d, n) array; row k holds the dual moments of d_k u_h scaled
-    by 1/c. Exact for the piecewise-polynomial integrand at degree 2.
+    Returns a (d, n) array, row k = D^-1 B_k u: the dual moments of d_k u_h
+    scaled by 1/c, the same operator the fit uses to recover sigma.
     """
-    pair = mesh.element_pair
-    rule = quadrature(mesh.cell_kind, degree)
-    mu = pair.dual_eval(rule.points)
-    dphi = pair.nodal_grad(rule.points)
-    grad = np.einsum("qim,emk->eqik", dphi, mesh.inv_jacobians)
-    local_coeffs = np.asarray(coeffs)[mesh.elements]  # (e, nl)
-    gu = np.einsum("ei,eqik->eqk", local_coeffs, grad)  # grad u at quad pts
-    wdet = rule.weights[None, :] * mesh.det_jacobians[:, None]
-    c = assemble_gram_diagonal(mesh)
-    out = np.zeros((mesh.dim, mesh.n_vertices))
-    for k in range(mesh.dim):
-        local = np.einsum("eq,eq,qi->ei", wdet, gu[:, :, k], mu)
-        np.add.at(out[k], mesh.elements.ravel(), local.ravel())
-        out[k] /= c
-    return out
+    return recover_gradient(
+        assemble_grad_coupling(mesh, test="dual"), assemble_gram_diagonal(mesh), coeffs
+    )
 
 
 def lagrange_interpolate(mesh, v):
@@ -261,15 +272,9 @@ def lagrange_interpolate(mesh, v):
 
 def integrate(mesh, func, degree=5):
     """Integrate a pointwise field over the mesh by elementwise quadrature."""
-    rule = quadrature(mesh.cell_kind, degree)
-    phys = mesh.element_origin[:, None, :] + np.einsum(
-        "ekd,qd->eqk", mesh.jacobians, rule.points
-    )
-    vals = np.asarray(func(phys.reshape(-1, mesh.dim)), dtype=float).reshape(
-        mesh.n_elements, -1
-    )
-    wdet = rule.weights[None, :] * mesh.det_jacobians[:, None]
-    return float(np.einsum("eq,eq->", wdet, vals))
+    _, points, weights = element_quadrature(mesh, degree)
+    vals = np.asarray(func(points.reshape(-1, mesh.dim)), dtype=float)
+    return float(weights.ravel() @ vals)
 
 
 def l2_norm(mesh, func, degree=5):

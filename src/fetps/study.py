@@ -16,12 +16,13 @@ import numpy as np
 from dataclasses import dataclass, field
 
 from .assembly import ScatteredData
-from .elements import quadrature
 from .fields import get_field
 from .mesh import Domain, build_structured_mesh, refine_uniform
 from .smoother import (
     FitConfig,
+    element_quadrature,
     energy_norm_difference,
+    fe_at_quadrature,
     fit,
     lagrange_interpolate,
     quasi_project,
@@ -65,51 +66,27 @@ class StudyRow:
     orders: dict = field(default_factory=dict)
 
 
-def _quad_points(mesh, degree):
-    rule = quadrature(mesh.cell_kind, degree)
-    phys = mesh.element_origin[:, None, :] + np.einsum(
-        "ekd,qd->eqk", mesh.jacobians, rule.points
-    )
-    wdet = rule.weights[None, :] * mesh.det_jacobians[:, None]
-    return rule, phys, wdet
-
-
-def _fe_at_quad(mesh, coeffs, rule):
-    vals = mesh.element_pair.nodal_eval(rule.points)  # (q, nl)
-    return np.einsum("qi,ei->eq", vals, np.asarray(coeffs)[mesh.elements])
-
-
-def _fe_grad_at_quad(mesh, coeffs, rule):
-    dphi = mesh.element_pair.nodal_grad(rule.points)
-    g = np.einsum("qim,emk->eqik", dphi, mesh.inv_jacobians)
-    return np.einsum("ei,eqik->eqk", np.asarray(coeffs)[mesh.elements], g)
-
-
 def superconvergence_error(mesh, fld, degree=STUDY_QUAD_DEGREE):
     """L2 distance between the analytic gradient and the recovered
     gradient of the vertex interpolant."""
-    iu = lagrange_interpolate(mesh, fld.value)
-    rec = quasi_project_gradient(mesh, iu)
-    rule, phys, wdet = _quad_points(mesh, degree)
-    exact = np.asarray(fld.gradient(phys.reshape(-1, mesh.dim)))
-    rec_at = np.stack(
-        [_fe_at_quad(mesh, rec[k], rule).ravel() for k in range(mesh.dim)], axis=1
-    )
-    diff2 = ((exact - rec_at) ** 2).sum(axis=1).reshape(mesh.n_elements, -1)
-    return float(np.sqrt(np.einsum("eq,eq->", wdet, diff2)))
+    rec = quasi_project_gradient(mesh, lagrange_interpolate(mesh, fld.value))
+    rule, points, weights = element_quadrature(mesh, degree)
+    exact = np.asarray(fld.gradient(points.reshape(-1, mesh.dim))).T
+    rec_at, _ = fe_at_quadrature(mesh, rec, rule)  # (d, e, q)
+    diff2 = ((exact.reshape(rec_at.shape) - rec_at) ** 2).sum(axis=0)
+    return float(np.sqrt(np.sum(weights * diff2)))
 
 
 def quasi_projection_errors(mesh, fld, degree=STUDY_QUAD_DEGREE):
     """(L2, H1) errors of the dual-moment projection of the field."""
     q = quasi_project(mesh, fld.value, degree=degree)
-    rule, phys, wdet = _quad_points(mesh, degree)
-    flat = phys.reshape(-1, mesh.dim)
-    uvals = np.asarray(fld.value(flat)).reshape(mesh.n_elements, -1)
-    qvals = _fe_at_quad(mesh, q, rule)
-    l2sq = float(np.einsum("eq,eq->", wdet, (uvals - qvals) ** 2))
-    gexact = np.asarray(fld.gradient(flat)).reshape(mesh.n_elements, -1, mesh.dim)
-    gq = _fe_grad_at_quad(mesh, q, rule)
-    h1sq = l2sq + float(np.einsum("eq,eq->", wdet, ((gexact - gq) ** 2).sum(axis=2)))
+    rule, points, weights = element_quadrature(mesh, degree)
+    flat = points.reshape(-1, mesh.dim)
+    qvals, qgrads = fe_at_quadrature(mesh, q, rule)
+    uvals = np.asarray(fld.value(flat)).reshape(qvals.shape)
+    gexact = np.asarray(fld.gradient(flat)).reshape(qgrads.shape)
+    l2sq = float(np.sum(weights * (uvals - qvals) ** 2))
+    h1sq = l2sq + float(np.sum(weights * ((gexact - qgrads) ** 2).sum(axis=2)))
     return float(np.sqrt(l2sq)), float(np.sqrt(h1sq))
 
 

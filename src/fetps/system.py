@@ -161,7 +161,7 @@ def solve_reduced(op, f, cfg=None, return_stats=False):
     if f.shape[0] != n:
         raise ValueError("right-hand side length does not match operator")
     fnorm = np.linalg.norm(f)
-    if fnorm < 1e-14:
+    if fnorm == 0.0:
         u = np.zeros(n)
         return (u, {"iterations": 0, "residual": 0.0}) if return_stats else u
     if cfg.preconditioner == "jacobi":
@@ -208,24 +208,31 @@ def solve_reduced(op, f, cfg=None, return_stats=False):
     return (x, stats) if return_stats else x
 
 
+def recover_gradient(B, gram_diag, u):
+    """Recovered gradient sigma_k = D^-1 B_k u, shape (d, n).
+
+    This is the dual-moment quasi-projection of the broken gradient of u,
+    the one recovery operator of both the fit and the study.
+    """
+    if np.any(gram_diag <= 0):
+        raise SingularSystemError("Gram diagonal has a nonpositive entry")
+    dinv = 1.0 / gram_diag
+    u = np.asarray(u, dtype=float).ravel()
+    return np.stack([dinv * (Bk @ u) for Bk in B])
+
+
 def recover_auxiliary(blocks, u, alpha, r=STABILIZATION_R):
     """Back-substitute the gradient and multiplier from the block rows.
 
     sigma_k = D^-1 B_k u, phi_k = D^-1 (r W_k u - (alpha K + r M) sigma_k).
     """
     u = np.asarray(u, dtype=float).ravel()
-    c = blocks.gram_diag
-    if np.any(c <= 0):
-        raise SingularSystemError("Gram diagonal has a nonpositive entry")
-    dinv = 1.0 / c
-    d = blocks.dim
-    n = blocks.n
-    sigma = np.empty((d, n))
-    phi = np.empty((d, n))
+    sigma = recover_gradient(blocks.B, blocks.gram_diag, u)
+    dinv = 1.0 / blocks.gram_diag
     inner = (alpha * blocks.K + r * blocks.mass).tocsr()
-    for k in range(d):
-        sigma[k] = dinv * (blocks.B[k] @ u)
-        phi[k] = dinv * (r * (blocks.W[k] @ u) - inner @ sigma[k])
+    phi = np.stack([
+        dinv * (r * (Wk @ u) - inner @ sk) for Wk, sk in zip(blocks.W, sigma)
+    ])
     return SolutionTriple(u=u, sigma=sigma, phi=phi)
 
 

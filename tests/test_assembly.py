@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -26,17 +28,37 @@ from fetps.errors import OutOfDomainError
 from fetps.mesh import Domain, build_structured_mesh, refine_uniform
 from fetps.smoother import lagrange_interpolate
 
+@dataclass(frozen=True)
+class Box:
+    """Cells per axis on the box lower..upper (the unit box by default)."""
+
+    cells: tuple
+    lower: tuple = None
+    upper: tuple = None
+
+
+# Offset, anisotropic boxes: J is not a multiple of the identity there, so a
+# transposed J^-1 contraction fails the oracle comparisons below.
+OFFSET_2D = dict(lower=(-1.0, 0.5), upper=(2.0, 0.75))
+OFFSET_3D = dict(lower=(0.0, -1.0, 0.0), upper=(2.0, 0.0, 0.5))
+
 SMALL_MESHES = [
-    ("simplex", (2, 2)),
-    ("parallelotope", (2, 2)),
-    ("simplex", (1, 1, 1)),
-    ("parallelotope", (1, 1, 2)),
+    ("simplex", Box((2, 2))),
+    ("parallelotope", Box((2, 2))),
+    ("simplex", Box((1, 1, 1))),
+    ("parallelotope", Box((1, 1, 2))),
+    ("simplex", Box((3, 2), **OFFSET_2D)),
+    ("parallelotope", Box((3, 2), **OFFSET_2D)),
+    ("simplex", Box((1, 2, 1), **OFFSET_3D)),
+    ("parallelotope", Box((1, 2, 1), **OFFSET_3D)),
 ]
 
 
-def small_mesh(kind, cells):
-    dim = len(cells)
-    return build_structured_mesh(Domain(np.zeros(dim), np.ones(dim)), cells, kind)
+def small_mesh(kind, box):
+    dim = len(box.cells)
+    lower = np.zeros(dim) if box.lower is None else np.asarray(box.lower)
+    upper = np.ones(dim) if box.upper is None else np.asarray(box.upper)
+    return build_structured_mesh(Domain(lower, upper), box.cells, kind)
 
 
 @pytest.mark.parametrize("kind,cells", SMALL_MESHES)
@@ -321,20 +343,16 @@ def test_dual_space_approximation_order(unit_square):
     # first order (preasymptotic levels are slower, so check the last ratio)
     from scipy.sparse.linalg import spsolve
 
-    from fetps.elements import quadrature
+    from fetps.smoother import element_quadrature
 
     target = lambda p: np.sin(np.pi * p[:, 0]) * np.cos(2 * p[:, 1])
     errs = []
     mesh = build_structured_mesh(unit_square, (8, 8), "simplex")
     for _ in range(4):
         Gmu = assemble_mass(mesh, degree=2, space="dual").tocsc()
-        pair = mesh.element_pair
-        rule = quadrature(mesh.cell_kind, 6)
-        phys = mesh.element_origin[:, None, :] + np.einsum(
-            "ekd,qd->eqk", mesh.jacobians, rule.points)
+        rule, phys, wdet = element_quadrature(mesh, 6)
         vals = target(phys.reshape(-1, 2)).reshape(mesh.n_elements, -1)
-        wdet = rule.weights[None, :] * mesh.det_jacobians[:, None]
-        mu = pair.dual_eval(rule.points)
+        mu = mesh.element_pair.dual_eval(rule.points)
         b = np.zeros(mesh.n_vertices)
         np.add.at(b, mesh.elements.ravel(),
                   np.einsum("eq,eq,qi->ei", wdet, vals, mu).ravel())

@@ -195,6 +195,25 @@ def test_eval_corrupt_model(capsys, tmp_path):
     assert payload["error"]["type"] == "input"
 
 
+def test_eval_truncated_model(capsys, tmp_path):
+    pts, _ = synth(capsys, tmp_path, n=40, seed=5)
+    model = tmp_path / "model.json"
+    code, *_ = run_cli(
+        capsys, "fit", "--input", str(pts), "--domain", "0,0,1,1",
+        "--cells", "6,6", "--alpha", "1e-2", "--out", str(model),
+    )
+    assert code == 0
+    data = json.loads(model.read_text())
+    data["u"] = data["u"][:-3]
+    model.write_text(json.dumps(data))
+    code, payload, _ = run_cli(
+        capsys, "eval", "--model", str(model), "--query", str(pts),
+        "--out", str(tmp_path / "o.csv"),
+    )
+    assert code == 2
+    assert payload["error"]["type"] == "input"
+
+
 def test_study_linear_field_small(capsys, tmp_path):
     out_csv = tmp_path / "study.csv"
     code, payload, err = run_cli(

@@ -1,10 +1,14 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from fetps.assembly import ScatteredData
+from fetps.assembly import ScatteredData, assemble_system
 from fetps.errors import DataFormatError, SingularSystemError
 from fetps.fields import get_field
-from fetps.mesh import build_structured_mesh, element_patch, refine_uniform
+from fetps.mesh import Domain, build_structured_mesh, element_patch, refine_uniform
 from fetps.smoother import (
     FitConfig,
     Smoother,
@@ -19,7 +23,7 @@ from fetps.smoother import (
     quasi_project_gradient,
     smoother_pair_fields,
 )
-from fetps.system import SolverConfig
+from fetps.system import SolverConfig, recover_auxiliary
 
 TIGHT = SolverConfig(rtol=1e-13)
 
@@ -171,6 +175,21 @@ def test_quadratic_gradient_projection_is_exact(unit_square):
     pts = rng.uniform(0, 1, (50, 2))
     vals = np.stack([fe_value(mesh, projected[k], pts) for k in range(2)], axis=1)
     assert np.abs(vals - gq(pts)).max() < 1e-11
+
+
+@pytest.mark.parametrize("kind", ["simplex", "parallelotope"])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_quasi_project_gradient_is_the_fit_recovery(kind, dim, rng):
+    # the study's recovered gradient and the fit's sigma are one operator
+    mesh = build_structured_mesh(
+        Domain(np.zeros(dim), np.linspace(1.0, 2.0, dim)), (3,) * dim, kind
+    )
+    pts = rng.uniform(0.0, 1.0, (20, dim))
+    blocks = assemble_system(mesh, ScatteredData(pts, rng.normal(size=20)))
+    for _ in range(3):
+        u = rng.normal(size=mesh.n_vertices)
+        sigma = recover_auxiliary(blocks, u, alpha=1e-2).sigma
+        assert np.array_equal(quasi_project_gradient(mesh, u), sigma)
 
 
 def test_lagrange_interpolation(mesh8):
@@ -357,6 +376,44 @@ def test_smoother_load_rejects_corrupt(tmp_path):
     path.write_text("not json at all")
     with pytest.raises(DataFormatError):
         Smoother.load(path)
+
+
+@pytest.fixture(scope="module")
+def franke_fit():
+    mesh = build_structured_mesh(Domain(np.zeros(2), np.ones(2)), (8, 8), "simplex")
+    rng = np.random.default_rng(7)
+    pts = rng.uniform(0.02, 0.98, (40, 2))
+    z = get_field("franke", 2).value(pts) + 0.01 * rng.normal(size=40)
+    s = fit(ScatteredData(pts, z), mesh, FitConfig(alpha=1e-3), solver=TIGHT)
+    return mesh, pts, z, s
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(-100, 100))
+@example(k=-16)
+def test_fit_is_linear_in_z_across_scales(franke_fit, k):
+    # the solve is tight so that the comparison is not limited by rtol;
+    # beyond about 1e+-150 the norms themselves under- or overflow
+    mesh, pts, z, base = franke_fit
+    scale = 10.0 ** k
+    s = fit(ScatteredData(pts, z * scale), mesh, FitConfig(alpha=1e-3), solver=TIGHT)
+    assert np.abs(s.u / scale - base.u).max() <= 1e-12 * np.abs(base.u).max()
+
+
+@pytest.mark.parametrize("name,mutate", [
+    pytest.param("u", lambda a: a[:-3], id="u-truncated"),
+    pytest.param("u", lambda a: [a, a], id="u-2d"),
+    pytest.param("sigma", lambda a: a[0], id="sigma-1d"),
+    pytest.param("sigma", lambda a: [row[:-1] for row in a], id="sigma-short-rows"),
+    pytest.param("phi", lambda a: a[:1], id="phi-one-component"),
+    pytest.param("u", lambda a: [float("nan")] + a[1:], id="u-nan"),
+    pytest.param("sigma", lambda a: [[float("inf")] + a[0][1:]] + a[1:], id="sigma-inf"),
+])
+def test_smoother_load_rejects_inconsistent_coefficients(franke_fit, name, mutate):
+    data = json.loads(json.dumps(franke_fit[3].to_dict()))
+    data[name] = mutate(data[name])
+    with pytest.raises(DataFormatError):
+        Smoother.from_dict(data)
 
 
 def test_fit_3d_smoke(unit_cube, rng):
