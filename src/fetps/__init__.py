@@ -31,9 +31,7 @@ from .fields import CATALOG, AnalyticField, get_field
 from .mesh import (
     Domain,
     Mesh,
-    Patch,
     build_structured_mesh,
-    element_patch,
     load_mesh_json,
     locate_point,
     locate_points,

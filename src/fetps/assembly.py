@@ -312,14 +312,9 @@ def assemble_stiffness(mesh, degree=DEFAULT_QUAD_DEGREE):
     return _scatter(mesh, _element_matrices(mesh, degree, "grad", "grad", geometry))
 
 
-def assemble_mass(mesh, degree=DEFAULT_QUAD_DEGREE, space="primal"):
-    """Scalar mass matrix of the primal (default) or dual basis.
-
-    space='dual' integrates the standard glued element duals, without the
-    boundary modification of `dual_basis`.
-    """
-    b = "phi" if space == "primal" else "mu"
-    return _scatter(mesh, _element_matrices(mesh, degree, b, b))
+def assemble_mass(mesh, degree=DEFAULT_QUAD_DEGREE):
+    """Scalar mass matrix of the nodal basis."""
+    return _scatter(mesh, _element_matrices(mesh, degree, "phi", "phi"))
 
 
 def assemble_gram_full(mesh, degree=DEFAULT_QUAD_DEGREE):

@@ -126,6 +126,7 @@ def cmd_fit(args):
     s.save(args.out)
     misfit = np.abs(s.blocks.P @ s.u - data.values)
     constant = float(values[0]) if np.ptp(values) == 0.0 and len(values) else None
+    converged = bool(s.residual <= args.rtol)
     summary = {
         "status": "ok",
         "model": args.out,
@@ -135,6 +136,7 @@ def cmd_fit(args):
         "alpha": args.alpha,
         "iterations": s.iterations,
         "residual": s.residual,
+        "converged": converged,
         "functional_value": functional_value(s, data),
         "max_data_misfit": float(misfit.max()) if data.n else 0.0,
         "self_check_constant_deviation": (
@@ -147,6 +149,9 @@ def cmd_fit(args):
         f"{s.iterations} iterations, residual {s.residual:.2e}",
         file=sys.stderr,
     )
+    if not converged:
+        print(f"warning: residual {s.residual:.2e} is above rtol {args.rtol:g}; "
+              "the solve stalled before reaching the tolerance", file=sys.stderr)
     return EXIT_OK
 
 

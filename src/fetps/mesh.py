@@ -60,14 +60,6 @@ class Domain:
         return float(np.prod(self.extents))
 
 
-@dataclass(frozen=True)
-class Patch:
-    """Elements whose closures touch the closure of the center element."""
-
-    center: int
-    members: tuple
-
-
 class Mesh:
     """Conforming structured mesh with per-element affine geometry.
 
@@ -291,21 +283,24 @@ def refine_uniform(mesh):
 
 # -- point location -------------------------------------------------------
 
+# A point belongs to an element when its reference coordinates lie in the
+# reference cell up to this tolerance.
 _REF_TOL = 1e-10
-
-
-def _inside_reference(kind, ref, tol=_REF_TOL):
-    if kind in ("triangle", "tet"):
-        return (ref.min(axis=1) >= -tol) & (ref.sum(axis=1) <= 1.0 + tol)
-    return np.abs(ref).max(axis=1) <= 1.0 + tol
 
 
 def locate_points(mesh, points):
     """Find the containing element and reference coordinates of each point.
 
-    Points on shared faces/vertices resolve to the smallest containing
-    element id. Raises OutOfDomainError (with offending indices) for points
-    outside the closed domain.
+    Location is closed form on the structured grid. frac is a point's
+    coordinate in cell widths from the domain's lower corner, and cell_tol
+    is the reference-cell tolerance in cell widths. The cell on each axis
+    is clip(ceil(frac - cell_tol) - 1, 0, cells - 1), so a point on grid
+    plane b goes to cell b - 1. In a simplex cell, the sub-simplex is the
+    first, in element order, whose axis order y_p0 >= y_p1 >= ... holds up
+    to cell_tol for the local coordinates y = frac - cell. Together the two
+    rules give a point on shared faces or vertices the smallest containing
+    element id, one axis at a time. Raises OutOfDomainError (with offending
+    indices) for points outside the closed domain.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != mesh.dim:
@@ -321,47 +316,22 @@ def locate_points(mesh, points):
             indices=bad,
         )
     cells = np.asarray(mesh.cells_per_axis)
-    widths = dom.extents / cells
-    frac = (pts - dom.lower) / widths
-    cell_idx = np.clip(np.floor(frac).astype(np.int64), 0, cells - 1)
-
-    near = np.abs(frac - np.rint(frac)).min(axis=1) < 1e-9
-    eids = np.full(len(pts), -1, dtype=np.int64)
-    refs = np.zeros_like(pts)
-
-    fast = np.nonzero(~near)[0]
-    if fast.size:
-        flat = _flat_cell(mesh, cell_idx[fast])
-        sub = _sub_count(mesh)
-        remaining = fast
-        flat_rem = flat
-        for s in range(sub):
-            if remaining.size == 0:
-                break
-            cand = flat_rem * sub + s
-            ref = mesh.map_to_reference(cand, pts[remaining])
-            ok = _inside_reference(mesh.cell_kind, ref)
-            hit = remaining[ok]
-            eids[hit] = cand[ok]
-            refs[hit] = ref[ok]
-            remaining = remaining[~ok]
-            flat_rem = flat_rem[~ok]
-        near_extra = remaining
-    else:
-        near_extra = np.array([], dtype=np.int64)
-
-    slow = np.concatenate([np.nonzero(near)[0], near_extra])
-    for p in slow:
-        eid, ref = _locate_slow(mesh, pts[p], cell_idx[p], frac[p])
-        eids[p] = eid
-        refs[p] = ref
-    return eids, refs
-
-
-def _sub_count(mesh):
-    if mesh.kind == "parallelotope":
-        return 1
-    return 2 if mesh.dim == 2 else 6
+    frac = (pts - dom.lower) / (dom.extents / cells)
+    # A simplex's reference coordinates are differences of the local
+    # coordinates y, a parallelotope's are 2 y - 1.
+    cell_tol = _REF_TOL if mesh.kind == "simplex" else _REF_TOL / 2.0
+    cell = np.clip(np.ceil(frac - cell_tol).astype(np.int64) - 1, 0, cells - 1)
+    eids = _flat_cell(mesh, cell)
+    if mesh.kind == "simplex":
+        # A cell's simplices, in element order, hold y_p0 >= y_p1 >= ... for
+        # the axis orders p of permutations(range(d)) (_KUHN_PERMS in 3D).
+        # The descending order of y always holds, so argmax finds one.
+        y = frac - cell
+        perms = list(itertools.permutations(range(mesh.dim)))
+        holds = np.stack([(y[:, p[:-1]] - y[:, p[1:]] >= -cell_tol).all(axis=1)
+                          for p in perms], axis=1)
+        eids = eids * len(perms) + np.argmax(holds, axis=1)
+    return eids, mesh.map_to_reference(eids, pts)
 
 
 def _flat_cell(mesh, cidx):
@@ -372,47 +342,10 @@ def _flat_cell(mesh, cidx):
     return out
 
 
-def _locate_slow(mesh, x, cidx, frac):
-    cells = np.asarray(mesh.cells_per_axis)
-    cand_axes = []
-    for k in range(mesh.dim):
-        opts = {int(cidx[k])}
-        if abs(frac[k] - round(frac[k])) < 1e-9:
-            b = int(round(frac[k]))
-            for c in (b - 1, b):
-                if 0 <= c < cells[k]:
-                    opts.add(c)
-        cand_axes.append(sorted(opts))
-    sub = _sub_count(mesh)
-    candidates = []
-    for combo in itertools.product(*cand_axes):
-        flat = _flat_cell(mesh, np.asarray(combo))
-        candidates.extend(range(int(flat) * sub, int(flat) * sub + sub))
-    for eid in sorted(candidates):
-        ref = mesh.map_to_reference(np.asarray([eid]), x[None, :])[0]
-        if _inside_reference(mesh.cell_kind, ref[None, :])[0]:
-            return eid, ref
-    raise RuntimeError(f"point {x} not located in any candidate element")
-
-
 def locate_point(mesh, x):
     """Single-point convenience wrapper around locate_points."""
     eids, refs = locate_points(mesh, np.asarray(x, dtype=float)[None, :])
     return int(eids[0]), refs[0]
-
-
-def element_patch(mesh, eid):
-    """All elements whose closure intersects the closure of element `eid`.
-
-    On a conforming mesh that is exactly the set of elements sharing at
-    least one vertex with `eid` (itself included).
-    """
-    if not 0 <= eid < mesh.n_elements:
-        raise ValueError(f"element id {eid} out of range")
-    members = set()
-    for v in mesh.elements[eid]:
-        members.update(mesh.vertex_elements(int(v)).tolist())
-    return Patch(center=int(eid), members=tuple(sorted(members)))
 
 
 # -- persistence / export -------------------------------------------------

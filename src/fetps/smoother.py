@@ -194,15 +194,6 @@ def fe_gradient(mesh, coeffs, points):
     return fe_gradient_on_elements(mesh, coeffs, eids, refs)
 
 
-def fe_value_on_element(mesh, coeffs, eid, points):
-    """Evaluate the FE function restricted to one element (closure included)."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    eids = np.full(len(pts), eid, dtype=np.int64)
-    refs = mesh.map_to_reference(eids, pts)
-    vals = mesh.element_pair.nodal_eval(refs)
-    return (vals * np.asarray(coeffs)[mesh.elements[eids]]).sum(axis=1)
-
-
 def fe_gradient_on_elements(mesh, coeffs, eids, refs):
     grads = mesh.element_pair.nodal_grad(np.atleast_2d(refs))  # (m, nl, dref)
     # physical gradient: invJ^T action

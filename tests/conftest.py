@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,70 @@ def rng():
 
 def make_mesh(domain, cells, kind):
     return build_structured_mesh(domain, cells, kind)
+
+
+@dataclass(frozen=True)
+class Box:
+    """Cells per axis on the box lower..upper (the unit box by default)."""
+
+    cells: tuple
+    lower: tuple = None
+    upper: tuple = None
+
+
+# Offset, anisotropic boxes: J is not a multiple of the identity there, so a
+# transposed J^-1 contraction fails the assembly oracle comparisons.
+OFFSET_2D = dict(lower=(-1.0, 0.5), upper=(2.0, 0.75))
+OFFSET_3D = dict(lower=(0.0, -1.0, 0.0), upper=(2.0, 0.0, 0.5))
+
+SMALL_MESHES = [
+    ("simplex", Box((2, 2))),
+    ("parallelotope", Box((2, 2))),
+    ("simplex", Box((1, 1, 1))),
+    ("parallelotope", Box((1, 1, 2))),
+    ("simplex", Box((3, 2), **OFFSET_2D)),
+    ("parallelotope", Box((3, 2), **OFFSET_2D)),
+    ("simplex", Box((1, 2, 1), **OFFSET_3D)),
+    ("parallelotope", Box((1, 2, 1), **OFFSET_3D)),
+]
+
+
+def small_mesh(kind, box):
+    dim = len(box.cells)
+    lower = np.zeros(dim) if box.lower is None else np.asarray(box.lower)
+    upper = np.ones(dim) if box.upper is None else np.asarray(box.upper)
+    return build_structured_mesh(Domain(lower, upper), box.cells, kind)
+
+
+@dataclass(frozen=True)
+class Patch:
+    """Elements whose closures touch the closure of the center element."""
+
+    center: int
+    members: tuple
+
+
+def element_patch(mesh, eid):
+    """All elements whose closure intersects the closure of element `eid`.
+
+    On a conforming mesh that is exactly the set of elements sharing at
+    least one vertex with `eid` (itself included).
+    """
+    if not 0 <= eid < mesh.n_elements:
+        raise ValueError(f"element id {eid} out of range")
+    members = set()
+    for v in mesh.elements[eid]:
+        members.update(mesh.vertex_elements(int(v)).tolist())
+    return Patch(center=int(eid), members=tuple(sorted(members)))
+
+
+def fe_value_on_element(mesh, coeffs, eid, points):
+    """Evaluate the FE function restricted to one element (closure included)."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    eids = np.full(len(pts), eid, dtype=np.int64)
+    refs = mesh.map_to_reference(eids, pts)
+    vals = mesh.element_pair.nodal_eval(refs)
+    return (vals * np.asarray(coeffs)[mesh.elements[eids]]).sum(axis=1)
 
 
 def brute_force_matrix(mesh, kernel, degree=4, dual=None):

@@ -1,16 +1,20 @@
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from conftest import (
+    OFFSET_2D,
+    OFFSET_3D,
+    SMALL_MESHES,
+    Box,
     brute_force_matrix,
     grad_dual_kernel,
     grad_primal_kernel,
     gram_kernel,
     mass_kernel,
+    small_mesh,
     stiffness_kernel,
 )
 from fetps.assembly import (
@@ -29,38 +33,6 @@ from fetps.assembly import (
 from fetps.errors import OutOfDomainError
 from fetps.mesh import Domain, build_structured_mesh, refine_uniform
 from fetps.smoother import lagrange_interpolate
-
-@dataclass(frozen=True)
-class Box:
-    """Cells per axis on the box lower..upper (the unit box by default)."""
-
-    cells: tuple
-    lower: tuple = None
-    upper: tuple = None
-
-
-# Offset, anisotropic boxes: J is not a multiple of the identity there, so a
-# transposed J^-1 contraction fails the oracle comparisons below.
-OFFSET_2D = dict(lower=(-1.0, 0.5), upper=(2.0, 0.75))
-OFFSET_3D = dict(lower=(0.0, -1.0, 0.0), upper=(2.0, 0.0, 0.5))
-
-SMALL_MESHES = [
-    ("simplex", Box((2, 2))),
-    ("parallelotope", Box((2, 2))),
-    ("simplex", Box((1, 1, 1))),
-    ("parallelotope", Box((1, 1, 2))),
-    ("simplex", Box((3, 2), **OFFSET_2D)),
-    ("parallelotope", Box((3, 2), **OFFSET_2D)),
-    ("simplex", Box((1, 2, 1), **OFFSET_3D)),
-    ("parallelotope", Box((1, 2, 1), **OFFSET_3D)),
-]
-
-
-def small_mesh(kind, box):
-    dim = len(box.cells)
-    lower = np.zeros(dim) if box.lower is None else np.asarray(box.lower)
-    upper = np.ones(dim) if box.upper is None else np.asarray(box.upper)
-    return build_structured_mesh(Domain(lower, upper), box.cells, kind)
 
 
 @pytest.mark.parametrize("kind,cells", SMALL_MESHES)
@@ -364,8 +336,9 @@ def test_inf_sup_witness_stays_bounded(unit_square):
 
 
 def test_dual_space_approximation_order(unit_square):
-    # best L2 approximation of a smooth field from the dual span decays at
-    # first order (preasymptotic levels are slower, so check the last ratio)
+    # best L2 approximation of a smooth field from the span of the glued
+    # element duals decays at first order (preasymptotic levels are slower,
+    # so check the last ratio)
     from scipy.sparse.linalg import spsolve
 
     from fetps.smoother import element_quadrature
@@ -374,10 +347,14 @@ def test_dual_space_approximation_order(unit_square):
     errs = []
     mesh = build_structured_mesh(unit_square, (8, 8), "simplex")
     for _ in range(4):
-        Gmu = assemble_mass(mesh, degree=2, space="dual").tocsc()
         rule, phys, wdet = element_quadrature(mesh, 6)
         vals = target(phys.reshape(-1, 2)).reshape(mesh.n_elements, -1)
         mu = mesh.element_pair.dual_eval(rule.points)
+        local = np.einsum("eq,qi,qj->eij", wdet, mu, mu)
+        rows = np.repeat(mesh.elements, mesh.elements.shape[1], axis=1)
+        cols = np.tile(mesh.elements, mesh.elements.shape[1])
+        Gmu = sp.csc_matrix((local.ravel(), (rows.ravel(), cols.ravel())),
+                            shape=(mesh.n_vertices,) * 2)
         b = np.zeros(mesh.n_vertices)
         np.add.at(b, mesh.elements.ravel(),
                   np.einsum("eq,eq,qi->ei", wdet, vals, mu).ravel())

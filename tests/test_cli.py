@@ -73,6 +73,7 @@ def test_fit_eval_pipeline(capsys, tmp_path):
     assert payload["status"] == "ok"
     assert payload["n_data"] == 150
     assert payload["residual"] < 1e-9
+    assert payload["converged"] is True
     assert model.exists()
 
     out = tmp_path / "eval.csv"
@@ -106,6 +107,20 @@ def test_fit_outputs_are_byte_identical(capsys, tmp_path):
         assert code == 0
         models.append(model.read_bytes())
     assert models[0] == models[1]
+
+
+def test_fit_flags_residual_above_rtol(capsys, tmp_path):
+    # at alpha=1e6 iterative refinement stalls above the default rtol 1e-10
+    pts, _ = synth(capsys, tmp_path, n=5000, seed=7)
+    code, payload, err = run_cli(
+        capsys, "fit", "--input", str(pts), "--domain", "0,0,1,1",
+        "--cells", "16,16", "--kind", "simplex", "--alpha", "1e6",
+        "--out", str(tmp_path / "m.json"),
+    )
+    assert code == 0
+    assert payload["residual"] > 1e-10
+    assert payload["converged"] is False
+    assert "above rtol" in err
 
 
 def test_fit_constant_self_check(capsys, tmp_path):

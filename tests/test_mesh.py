@@ -1,13 +1,17 @@
+import itertools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import SMALL_MESHES, Box, element_patch, small_mesh
 from fetps.errors import OutOfDomainError
 from fetps.mesh import (
+    _REF_TOL,
     Domain,
     build_structured_mesh,
-    element_patch,
     load_mesh_json,
     locate_point,
     locate_points,
@@ -116,6 +120,88 @@ def test_locate_outside_raises(unit_square):
     with pytest.raises(OutOfDomainError) as err:
         locate_points(mesh, np.array([[0.5, 0.5], [1.5, 0.5]]))
     assert err.value.indices == [1]
+
+
+def brute_locate(mesh, pts):
+    """Smallest id of an element holding each point, over all elements."""
+    eids = np.full(len(pts), -1)
+    for e in range(mesh.n_elements):
+        ref = mesh.map_to_reference(np.full(len(pts), e), pts)
+        if mesh.kind == "simplex":
+            inside = (ref.min(axis=1) >= -_REF_TOL) & (ref.sum(axis=1) <= 1.0 + _REF_TOL)
+        else:
+            inside = np.abs(ref).max(axis=1) <= 1.0 + _REF_TOL
+        eids[(eids < 0) & inside] = e
+    assert (eids >= 0).all()
+    return eids
+
+
+def location_probes(mesh, rng):
+    """Random points plus the points where elements meet.
+
+    Means of every subset of an element's vertices (the vertices, edge
+    midpoints, face and cell centroids among them), a half-cell raster,
+    points on the upper boundary, and the raster moved 1e-12 cell widths
+    off the grid planes in both directions.
+    """
+    lo, hi = mesh.domain.lower, mesh.domain.upper
+    width = mesh.domain.extents / np.asarray(mesh.cells_per_axis)
+    corners = mesh.vertices[mesh.elements]
+    n_loc = corners.shape[1]
+    subsets = [corners[:, list(c)].mean(axis=1)
+               for r in range(1, n_loc + 1)
+               for c in itertools.combinations(range(n_loc), r)]
+    axes = [np.linspace(lo[k], hi[k], 2 * c + 1)
+            for k, c in enumerate(mesh.cells_per_axis)]
+    raster = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, mesh.dim)
+    upper = rng.uniform(lo, hi, (40, mesh.dim))
+    axis = rng.integers(0, mesh.dim, 40)
+    upper[np.arange(40), axis] = hi[axis]
+    off = [np.clip(raster + sign * 1e-12 * width * rng.integers(0, 2, raster.shape), lo, hi)
+           for sign in (-1.0, 1.0)]
+    return np.concatenate(
+        [rng.uniform(lo, hi, (200, mesh.dim)), *subsets, raster, upper, *off])
+
+
+def assert_locates_like_brute_force(mesh, rng):
+    pts = location_probes(mesh, rng)
+    eids, refs = locate_points(mesh, pts)
+    assert np.array_equal(eids, brute_locate(mesh, pts))
+    assert np.abs(mesh.map_to_physical(eids, refs) - pts).max() < 1e-12
+
+
+LOCATE_BOXES = list(dict.fromkeys(box for _, box in SMALL_MESHES)) + [Box((1, 1))]
+
+
+@pytest.mark.parametrize("box", LOCATE_BOXES)
+@pytest.mark.parametrize("kind", ["simplex", "parallelotope"])
+def test_locate_matches_brute_force(kind, box, rng):
+    assert_locates_like_brute_force(small_mesh(kind, box), rng)
+
+
+@settings(max_examples=25, deadline=None)
+@given(kind=st.sampled_from(["simplex", "parallelotope"]),
+       cells=st.lists(st.integers(1, 4), min_size=2, max_size=3),
+       lower=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+       extents=st.lists(st.floats(0.1, 3.0), min_size=3, max_size=3),
+       seed=st.integers(0, 2**32 - 1))
+def test_locate_matches_brute_force_on_random_boxes(kind, cells, lower, extents, seed):
+    dim = len(cells)
+    lo = np.asarray(lower[:dim])
+    mesh = build_structured_mesh(Domain(lo, lo + np.asarray(extents[:dim])), cells, kind)
+    assert_locates_like_brute_force(mesh, np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("kind", ["simplex", "parallelotope"])
+def test_locate_accepts_points_within_domain_tolerance(kind, unit_square):
+    # 1e-12 of the extent is more than the reference tolerance in cell
+    # widths at 128 cells; such points pass the domain check, so they must
+    # locate in the boundary cell.
+    mesh = build_structured_mesh(unit_square, (128, 128), kind)
+    pts = np.array([[1.0 + 0.9e-12, 0.5], [0.25, -0.9e-12], [1.0 + 0.9e-12] * 2])
+    eids, refs = locate_points(mesh, pts)
+    assert np.abs(mesh.map_to_physical(eids, refs) - pts).max() < 1e-15
+    assert np.array_equal(eids, locate_points(mesh, np.clip(pts, 0.0, 1.0))[0])
 
 
 def brute_patch(mesh, eid):

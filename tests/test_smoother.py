@@ -5,17 +5,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import element_patch, fe_value_on_element
 from fetps.assembly import ScatteredData, assemble_system
 from fetps.errors import DataFormatError, SingularSystemError
 from fetps.fields import get_field
-from fetps.mesh import Domain, build_structured_mesh, element_patch, refine_uniform
+from fetps.mesh import Domain, build_structured_mesh, refine_uniform
 from fetps.smoother import (
     FitConfig,
     Smoother,
     energy_norm,
     energy_norm_difference,
     fe_value,
-    fe_value_on_element,
     fit,
     functional_value,
     lagrange_interpolate,
