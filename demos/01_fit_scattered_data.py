@@ -9,6 +9,7 @@ import numpy as np
 from fetps import (
     Domain,
     FitConfig,
+    Smoother,
     build_structured_mesh,
     fit,
     get_field,
@@ -51,4 +52,7 @@ print(f"max |sigma_h - grad franke|: "
 # ----------------------------------------------------------------------
 # persistence: the model round-trips through JSON
 smoother.save("franke_model.json")
-print("saved model to franke_model.json")
+loaded = Smoother.load("franke_model.json")
+same = (np.array_equal(loaded.evaluate(grid), values)
+        and np.array_equal(loaded.evaluate_gradient(grid), gradients))
+print(f"saved model to franke_model.json; the reloaded model agrees bit for bit: {same}")

@@ -161,8 +161,7 @@ def cmd_eval(args):
     if points.shape[0] and dim != s.mesh.dim:
         raise DataFormatError(f"model is {s.mesh.dim}D but query has {dim}D points")
     if points.shape[0]:
-        values = s.evaluate(points)
-        grads = s.evaluate_gradient(points)
+        values, grads = s.evaluate_with_gradient(points)
     else:
         values = np.zeros(0)
         grads = np.zeros((0, s.mesh.dim))

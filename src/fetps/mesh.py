@@ -377,12 +377,14 @@ def to_vtk(mesh, path):
 
 
 def mesh_to_dict(mesh):
-    """JSON-ready description: vertices, elements, kind, plus grid provenance."""
+    """JSON-ready description of the structured grid: kind, dim, domain, cells.
+
+    The grid fixes the mesh, so no vertices or elements are stored;
+    `mesh_from_dict` rebuilds them with `build_structured_mesh`.
+    """
     return {
         "kind": mesh.kind,
         "dim": mesh.dim,
-        "vertices": mesh.vertices.tolist(),
-        "elements": mesh.elements.tolist(),
         "structured": {
             "lower": mesh.domain.lower.tolist(),
             "upper": mesh.domain.upper.tolist(),
@@ -391,18 +393,43 @@ def mesh_to_dict(mesh):
     }
 
 
-def mesh_from_dict(data):
+def grid_from_dict(data):
+    """Validated (domain, cells, kind) of a `mesh_to_dict` description.
+
+    Checks the description without building the mesh: a known kind, a 2D
+    or 3D box with finite corners and lower < upper on every axis, and dim
+    integer cell counts >= 1. Older descriptions that also list vertices
+    and elements are read the same way; those lists are ignored. Raises
+    DataFormatError.
+    """
+    if not isinstance(data, dict):
+        raise DataFormatError("mesh description must be a JSON object")
     try:
-        kind = data["kind"]
-        grid = data["structured"]
-        domain = Domain(np.asarray(grid["lower"]), np.asarray(grid["upper"]))
+        kind, dim, grid = data["kind"], data["dim"], data["structured"]
+        lower = np.asarray(grid["lower"], dtype=float)
+        upper = np.asarray(grid["upper"], dtype=float)
         cells = grid["cells_per_axis"]
-        vertices = np.asarray(data["vertices"], dtype=float)
-        elements = np.asarray(data["elements"], dtype=np.int64)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"invalid mesh description: {exc}") from exc
-    mesh = Mesh(domain, cells, kind, vertices, elements)
-    return mesh
+    if kind not in KINDS:
+        raise DataFormatError(f"unknown mesh kind {kind!r}")
+    if dim not in (2, 3):
+        raise DataFormatError(f"mesh dim must be 2 or 3, got {dim!r}")
+    if lower.shape != (dim,) or upper.shape != (dim,):
+        raise DataFormatError(f"mesh lower and upper must hold {dim} numbers")
+    if not (np.isfinite(lower).all() and np.isfinite(upper).all() and (lower < upper).all()):
+        raise DataFormatError("mesh lower and upper must be finite with lower < upper")
+    if not (isinstance(cells, list) and len(cells) == dim and all(
+            isinstance(c, int) and not isinstance(c, bool) and c >= 1 for c in cells)):
+        raise DataFormatError(
+            f"mesh cells_per_axis must hold {dim} integers >= 1, got {cells!r}"
+        )
+    return Domain(lower, upper), tuple(cells), kind
+
+
+def mesh_from_dict(data):
+    """Rebuild the mesh of a `mesh_to_dict` description (see `grid_from_dict`)."""
+    return build_structured_mesh(*grid_from_dict(data))
 
 
 def save_mesh_json(mesh, path):

@@ -11,6 +11,7 @@ local gradient-recovery operator when applied to broken gradients.
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,11 +24,11 @@ from .assembly import (
 )
 from .elements import quadrature
 from .errors import DataFormatError, SingularSystemError
-from .mesh import locate_points, mesh_from_dict, mesh_to_dict
+from .mesh import build_structured_mesh, grid_from_dict, locate_points, mesh_to_dict
 from .system import condense, recover_auxiliary, recover_gradient, solve_reduced
 
 SMOOTHER_FORMAT = "fetps-smoother"
-SMOOTHER_VERSION = 1
+SMOOTHER_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,9 @@ class Smoother:
 
     `u` holds vertex coefficients of the smoother, `sigma` the recovered
     (continuous) gradient components, `phi` the Lagrange multiplier
-    components. Instances are immutable and safe for concurrent evaluation.
+    components. Evaluation needs only `u` and `sigma`, so a model file keeps
+    no `phi` and a loaded smoother has `phi = None`. Instances are immutable
+    and safe for concurrent evaluation.
     """
 
     def __init__(self, mesh, u, sigma, phi, alpha, iterations=0, residual=0.0,
@@ -54,14 +57,15 @@ class Smoother:
         self.mesh = mesh
         self.u = np.asarray(u, dtype=float).copy()
         self.sigma = np.asarray(sigma, dtype=float).copy()
-        self.phi = np.asarray(phi, dtype=float).copy()
+        self.phi = None if phi is None else np.asarray(phi, dtype=float).copy()
         self.alpha = float(alpha)
         self.iterations = int(iterations)
         self.residual = float(residual)
         self.blocks = blocks
         self.reduced = reduced
         for arr in (self.u, self.sigma, self.phi):
-            arr.setflags(write=False)
+            if arr is not None:
+                arr.setflags(write=False)
 
     def evaluate(self, points):
         """Smoother values u_h(x) at arbitrary in-domain points."""
@@ -69,20 +73,26 @@ class Smoother:
 
     def evaluate_gradient(self, points):
         """Recovered gradient sigma_h(x): continuous across element faces."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        eids, refs = locate_points(self.mesh, pts)
-        vals = self.mesh.element_pair.nodal_eval(refs)
-        conn = self.mesh.elements[eids]
-        return np.stack(
-            [(vals * self.sigma[k][conn]).sum(axis=1) for k in range(self.mesh.dim)],
-            axis=1,
-        )
+        return np.stack(_fe_values(self.mesh, self.sigma, points), axis=1)
+
+    def evaluate_with_gradient(self, points):
+        """(u_h(x), sigma_h(x)) from one point location.
+
+        Bit for bit the results of `evaluate` and `evaluate_gradient`.
+        """
+        value, *grad = _fe_values(self.mesh, [self.u, *self.sigma], points)
+        return value, np.stack(grad, axis=1)
 
     def evaluate_raw_gradient(self, points):
         """Broken elementwise gradient of u_h (differs from sigma_h)."""
         return fe_gradient(self.mesh, self.u, points)
 
     def to_dict(self):
+        """JSON-ready model, format version 2: alpha, the grid, u and sigma.
+
+        The mesh is stored as its structured grid (`mesh_to_dict`) and
+        rebuilt on load; phi is not stored.
+        """
         return {
             "format": SMOOTHER_FORMAT,
             "version": SMOOTHER_VERSION,
@@ -90,34 +100,46 @@ class Smoother:
             "mesh": mesh_to_dict(self.mesh),
             "u": self.u.tolist(),
             "sigma": self.sigma.tolist(),
-            "phi": self.phi.tolist(),
             "diagnostics": {"iterations": self.iterations, "residual": self.residual},
         }
 
     def save(self, path):
+        # json.dumps encodes in C; json.dump would stream through the
+        # pure-Python encoder, several times slower on large models.
+        text = json.dumps(self.to_dict())
         with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_dict(), f)
+            f.write(text)
 
     @classmethod
     def from_dict(cls, data):
+        """Smoother of a version 1 or 2 model dict; raises DataFormatError.
+
+        Version 1 also stored phi and the mesh's vertices and elements;
+        they are ignored, and the mesh is rebuilt from its grid. u and sigma
+        are checked against the grid's vertex count before the mesh is
+        built, so a corrupt grid cannot make the load allocate a huge mesh.
+        """
+        if not isinstance(data, dict):
+            raise DataFormatError("smoother file must hold a JSON object")
+        if data.get("format") != SMOOTHER_FORMAT:
+            raise DataFormatError(f"not a smoother file (format={data.get('format')!r})")
+        if data.get("version") not in (1, SMOOTHER_VERSION):
+            raise DataFormatError(f"unsupported smoother version {data.get('version')!r}")
         try:
-            if data.get("format") != SMOOTHER_FORMAT:
-                raise DataFormatError(
-                    f"not a smoother file (format={data.get('format')!r})"
-                )
-            if int(data["version"]) > SMOOTHER_VERSION:
-                raise DataFormatError(f"unsupported smoother version {data['version']}")
-            mesh = mesh_from_dict(data["mesh"])
-            n, d = mesh.n_vertices, mesh.dim
-            fields = {k: np.asarray(data[k], dtype=float) for k in ("u", "sigma", "phi")}
-            for name, shape in (("u", (n,)), ("sigma", (d, n)), ("phi", (d, n))):
+            domain, cells, kind = grid_from_dict(data["mesh"])
+            n, d = math.prod(c + 1 for c in cells), domain.dim
+            fields = {k: np.asarray(data[k], dtype=float) for k in ("u", "sigma")}
+            for name, shape in (("u", (n,)), ("sigma", (d, n))):
                 if fields[name].shape != shape or not np.isfinite(fields[name]).all():
                     raise DataFormatError(f"smoother {name} must be finite with shape "
                                           f"{shape}, got shape {fields[name].shape}")
             diag = data.get("diagnostics", {})
+            if not isinstance(diag, dict):
+                raise DataFormatError("smoother diagnostics must be a JSON object")
             return cls(
-                mesh=mesh,
+                mesh=build_structured_mesh(domain, cells, kind),
                 **fields,
+                phi=None,
                 alpha=float(data["alpha"]),
                 iterations=diag.get("iterations", 0),
                 residual=diag.get("residual", 0.0),
@@ -180,11 +202,21 @@ def fit(data, mesh, cfg, solver=None, keep_system=True):
 
 def fe_value(mesh, coeffs, points):
     """Evaluate the FE function with the given vertex coefficients."""
+    return _fe_values(mesh, [coeffs], points)[0]
+
+
+def _fe_values(mesh, coeff_rows, points):
+    """Values of several FE functions at the same points, located once.
+
+    Returns one (m,) array per vertex-coefficient vector in `coeff_rows`.
+    Each is summed on its own (m, n_loc) table: a stacked (k, m, n_loc)
+    sum rounds differently on hexahedra.
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     eids, refs = locate_points(mesh, pts)
     vals = mesh.element_pair.nodal_eval(refs)
     conn = mesh.elements[eids]
-    return (vals * np.asarray(coeffs)[conn]).sum(axis=1)
+    return [(vals * np.asarray(c)[conn]).sum(axis=1) for c in coeff_rows]
 
 
 def fe_gradient(mesh, coeffs, points):

@@ -2,8 +2,11 @@ import csv
 import json
 
 import numpy as np
+import pytest
 
 from fetps.cli import main
+from fetps.errors import DataFormatError
+from fetps.smoother import Smoother
 
 
 def run_cli(capsys, *argv):
@@ -87,12 +90,12 @@ def test_fit_eval_pipeline(capsys, tmp_path):
     assert set(rows[0]) == {"x", "y", "value", "grad_x", "grad_y"}
 
     # re-evaluation at the fit sites matches the stored evaluation path
-    from fetps.smoother import Smoother
-
     s = Smoother.load(model)
     qpts = np.array([[float(r["x"]), float(r["y"])] for r in rows])
     vals = np.array([float(r["value"]) for r in rows])
+    grads = np.array([[float(r["grad_x"]), float(r["grad_y"])] for r in rows])
     assert np.abs(vals - s.evaluate(qpts)).max() < 1e-10
+    assert np.abs(grads - s.evaluate_gradient(qpts)).max() < 1e-10
 
 
 def test_fit_outputs_are_byte_identical(capsys, tmp_path):
@@ -225,6 +228,42 @@ def test_eval_truncated_model(capsys, tmp_path):
         capsys, "eval", "--model", str(model), "--query", str(pts),
         "--out", str(tmp_path / "o.csv"),
     )
+    assert code == 2
+    assert payload["error"]["type"] == "input"
+
+
+def eval_model_file(capsys, tmp_path, text):
+    model = tmp_path / "model.json"
+    model.write_text(text)
+    query = tmp_path / "q.csv"
+    query.write_text("x,y\n0.5,0.5\n")
+    return run_cli(capsys, "eval", "--model", str(model), "--query", str(query),
+                   "--out", str(tmp_path / "o.csv"))
+
+
+def test_eval_model_not_an_object(capsys, tmp_path):
+    code, payload, _ = eval_model_file(capsys, tmp_path, "[1, 2]")
+    assert code == 2
+    assert payload["error"]["type"] == "input"
+
+
+def test_eval_version_1_model_with_inconsistent_mesh(capsys, tmp_path):
+    # vertices and elements that disagree with the 2x2 grid; before the
+    # mesh was rebuilt from its grid, eval died with an IndexError
+    data = {
+        "format": "fetps-smoother", "version": 1, "alpha": 1.0,
+        "mesh": {"kind": "simplex", "dim": 2,
+                 "vertices": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+                 "elements": [[0, 1, 2]],
+                 "structured": {"lower": [0.0, 0.0], "upper": [1.0, 1.0],
+                                "cells_per_axis": [2, 2]}},
+        "u": [0.0, 1.0, 2.0],
+        "sigma": [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+        "phi": [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+    }
+    with pytest.raises(DataFormatError):
+        Smoother.from_dict(data)
+    code, payload, _ = eval_model_file(capsys, tmp_path, json.dumps(data))
     assert code == 2
     assert payload["error"]["type"] == "input"
 

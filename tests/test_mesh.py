@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SMALL_MESHES, Box, element_patch, small_mesh
-from fetps.errors import OutOfDomainError
+from fetps.errors import DataFormatError, OutOfDomainError
 from fetps.mesh import (
     _REF_TOL,
     Domain,
@@ -269,16 +269,38 @@ def test_json_round_trip(tmp_path, unit_cube):
     mesh = build_structured_mesh(unit_cube, (2, 1, 2), "parallelotope")
     path = tmp_path / "mesh.json"
     save_mesh_json(mesh, path)
+    assert set(json.loads(path.read_text())) == {"kind", "dim", "structured"}
     loaded = load_mesh_json(path)
     assert loaded.kind == mesh.kind
     assert np.array_equal(loaded.elements, mesh.elements)
-    assert np.allclose(loaded.vertices, mesh.vertices)
+    assert np.array_equal(loaded.vertices, mesh.vertices)
     fine = refine_uniform(loaded)
     assert fine.n_elements == 8 * mesh.n_elements
 
 
 def test_json_dict_rejects_garbage():
-    from fetps.errors import DataFormatError
-
     with pytest.raises(DataFormatError):
         mesh_from_dict({"kind": "simplex"})
+
+
+def grid_dict(**changes):
+    grid = {"lower": [0.0, 0.0], "upper": [1.0, 2.0], "cells_per_axis": [2, 3]}
+    return {"kind": "simplex", "dim": 2, "structured": {**grid, **changes}}
+
+
+@pytest.mark.parametrize("data", [
+    pytest.param([1, 2], id="not-an-object"),
+    pytest.param({**grid_dict(), "kind": "prism"}, id="unknown-kind"),
+    pytest.param({**grid_dict(), "dim": 4}, id="dim-4"),
+    pytest.param(grid_dict(cells_per_axis=[2]), id="cells-too-few"),
+    pytest.param(grid_dict(cells_per_axis=[2, 0]), id="cells-zero"),
+    pytest.param(grid_dict(cells_per_axis=[2, 1.5]), id="cells-fraction"),
+    pytest.param(grid_dict(cells_per_axis="23"), id="cells-string"),
+    pytest.param(grid_dict(upper=[1.0, 0.0]), id="upper-equals-lower"),
+    pytest.param(grid_dict(upper=[1.0, float("inf")]), id="upper-infinite"),
+    pytest.param(grid_dict(lower=[0.0, 0.0, 0.0]), id="lower-3d"),
+    pytest.param(grid_dict(lower=["a", 0.0]), id="lower-not-numbers"),
+])
+def test_mesh_from_dict_rejects_bad_grids(data):
+    with pytest.raises(DataFormatError):
+        mesh_from_dict(data)

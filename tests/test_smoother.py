@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import element_patch, fe_value_on_element
+from conftest import SMALL_MESHES, element_patch, fe_value_on_element, small_mesh
 from fetps.assembly import ScatteredData, assemble_system
 from fetps.errors import DataFormatError, SingularSystemError
 from fetps.fields import get_field
@@ -378,6 +378,78 @@ def test_smoother_load_rejects_corrupt(tmp_path):
         Smoother.load(path)
 
 
+def random_smoother(kind, box, rng):
+    mesh = small_mesh(kind, box)
+    return Smoother(mesh, rng.normal(size=mesh.n_vertices),
+                    rng.normal(size=(mesh.dim, mesh.n_vertices)), None, 0.5)
+
+
+def probe_points(mesh, rng):
+    """Random points plus every vertex (ties between elements)."""
+    lo, hi = mesh.domain.lower, mesh.domain.upper
+    return np.vstack([lo + rng.uniform(size=(200, mesh.dim)) * (hi - lo), mesh.vertices])
+
+
+@pytest.mark.parametrize("kind,box", SMALL_MESHES)
+def test_model_round_trip_is_bit_identical(tmp_path, kind, box, rng):
+    s = random_smoother(kind, box, rng)
+    path = tmp_path / "model.json"
+    s.save(path)
+    data = json.loads(path.read_text())
+    assert set(data) == {"format", "version", "alpha", "mesh", "u", "sigma", "diagnostics"}
+    assert set(data["mesh"]) == {"kind", "dim", "structured"}
+    loaded = Smoother.load(path)
+    assert loaded.phi is None
+    assert np.array_equal(loaded.mesh.vertices, s.mesh.vertices)
+    assert np.array_equal(loaded.mesh.elements, s.mesh.elements)
+    pts = probe_points(s.mesh, rng)
+    assert np.array_equal(loaded.evaluate(pts), s.evaluate(pts))
+    assert np.array_equal(loaded.evaluate_gradient(pts), s.evaluate_gradient(pts))
+
+
+@pytest.mark.parametrize("kind,box", SMALL_MESHES)
+def test_evaluate_with_gradient_matches_separate_calls(kind, box, rng):
+    s = random_smoother(kind, box, rng)
+    pts = probe_points(s.mesh, rng)
+    values, grads = s.evaluate_with_gradient(pts)
+    assert np.array_equal(values, s.evaluate(pts))
+    assert np.array_equal(grads, s.evaluate_gradient(pts))
+
+
+def version_1_dict(s):
+    """The model layout written before version 2: phi, vertices and elements."""
+    data = s.to_dict()
+    data["version"] = 1
+    data["phi"] = s.phi.tolist()
+    data["mesh"] = {"kind": s.mesh.kind, "dim": s.mesh.dim,
+                    "vertices": s.mesh.vertices.tolist(),
+                    "elements": s.mesh.elements.tolist(),
+                    "structured": data["mesh"]["structured"]}
+    return json.loads(json.dumps(data))
+
+
+def test_smoother_loads_version_1_models(franke_fit, rng):
+    s = franke_fit[3]
+    loaded = Smoother.from_dict(version_1_dict(s))
+    pts = probe_points(s.mesh, rng)
+    assert np.array_equal(loaded.evaluate(pts), s.evaluate(pts))
+    assert np.array_equal(loaded.evaluate_gradient(pts), s.evaluate_gradient(pts))
+    assert (loaded.alpha, loaded.iterations, loaded.residual) == (
+        s.alpha, s.iterations, s.residual)
+
+
+def test_smoother_load_checks_grid_before_building_mesh(franke_fit, monkeypatch):
+    # a 1e5 x 1e5 grid would allocate 1e10 vertices before any shape check
+    def no_build(*args):
+        raise AssertionError("mesh built before the coefficients were checked")
+
+    monkeypatch.setattr("fetps.smoother.build_structured_mesh", no_build)
+    data = json.loads(json.dumps(franke_fit[3].to_dict()))
+    data["mesh"]["structured"]["cells_per_axis"] = [100_000, 100_000]
+    with pytest.raises(DataFormatError, match="shape"):
+        Smoother.from_dict(data)
+
+
 @pytest.fixture(scope="module")
 def franke_fit():
     mesh = build_structured_mesh(Domain(np.zeros(2), np.ones(2)), (8, 8), "simplex")
@@ -405,7 +477,10 @@ def test_fit_is_linear_in_z_across_scales(franke_fit, k):
     pytest.param("u", lambda a: [a, a], id="u-2d"),
     pytest.param("sigma", lambda a: a[0], id="sigma-1d"),
     pytest.param("sigma", lambda a: [row[:-1] for row in a], id="sigma-short-rows"),
-    pytest.param("phi", lambda a: a[:1], id="phi-one-component"),
+    pytest.param("mesh", lambda m: {**m, "structured": {**m["structured"],
+                                                         "cells_per_axis": [9, 8]}},
+                 id="u-length-vs-cells"),
+    pytest.param("mesh", lambda m: {**m, "kind": "prism"}, id="mesh-bad-kind"),
     pytest.param("u", lambda a: [float("nan")] + a[1:], id="u-nan"),
     pytest.param("sigma", lambda a: [[float("inf")] + a[0][1:]] + a[1:], id="sigma-inf"),
 ])
