@@ -40,6 +40,8 @@ class Domain:
             raise ValueError("domain corners must be 1D arrays of equal length")
         if lo.size not in (2, 3):
             raise ValueError(f"domain dimension must be 2 or 3, got {lo.size}")
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise ValueError("domain corners must be finite")
         if not np.all(hi > lo):
             raise ValueError("domain upper corner must exceed lower corner componentwise")
         lo.setflags(write=False)
@@ -300,19 +302,23 @@ def locate_points(mesh, points):
     to cell_tol for the local coordinates y = frac - cell. Together the two
     rules give a point on shared faces or vertices the smallest containing
     element id, one axis at a time. Raises OutOfDomainError (with offending
-    indices) for points outside the closed domain.
+    indices) for points outside the closed domain or with a non-finite
+    coordinate.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != mesh.dim:
         raise ValueError("point dimension does not match mesh dimension")
     dom = mesh.domain
     tol = 1e-12 * float(dom.extents.max())
+    # Every comparison with NaN is false, so test finiteness on its own.
     bad = np.nonzero(
-        (pts < dom.lower - tol).any(axis=1) | (pts > dom.upper + tol).any(axis=1)
+        ~np.isfinite(pts).all(axis=1)
+        | (pts < dom.lower - tol).any(axis=1) | (pts > dom.upper + tol).any(axis=1)
     )[0]
     if bad.size:
         raise OutOfDomainError(
-            f"{bad.size} point(s) outside the domain (first at index {bad[0]})",
+            f"{bad.size} point(s) outside the domain or not finite "
+            f"(first at index {bad[0]})",
             indices=bad,
         )
     cells = np.asarray(mesh.cells_per_axis)

@@ -12,6 +12,7 @@ local gradient-recovery operator when applied to broken gradients.
 
 import json
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,13 @@ from .assembly import (
 from .elements import quadrature
 from .errors import DataFormatError, SingularSystemError
 from .mesh import build_structured_mesh, grid_from_dict, locate_points, mesh_to_dict
-from .system import condense, recover_auxiliary, recover_gradient, solve_reduced
+from .system import (
+    SolverConfig,
+    condense,
+    recover_auxiliary,
+    recover_gradient,
+    solve_reduced,
+)
 
 SMOOTHER_FORMAT = "fetps-smoother"
 SMOOTHER_VERSION = 2
@@ -38,8 +45,8 @@ class FitConfig:
     alpha: float
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
 
 
 class Smoother:
@@ -172,9 +179,13 @@ def fit(data, mesh, cfg, solver=None, keep_system=True):
     keep_system : bool
         Keep assembled blocks on the returned smoother (cheap, and makes
         functional evaluations reuse them).
+
+    Warns (RuntimeWarning) when the solve returns above the solver's rtol;
+    the smoother's `residual` then says by how much.
     """
     if not isinstance(cfg, FitConfig):
         cfg = FitConfig(alpha=float(cfg))
+    solver = solver or SolverConfig()
     if not data.admissible():
         raise SingularSystemError(
             f"scattered data is not admissible: need at least {mesh.dim + 1} "
@@ -184,6 +195,13 @@ def fit(data, mesh, cfg, solver=None, keep_system=True):
     blocks = assemble_system(mesh, data)
     op = condense(blocks, cfg.alpha)
     u, stats = solve_reduced(op, blocks.f, solver, return_stats=True)
+    if stats["residual"] > solver.rtol:
+        warnings.warn(
+            f"residual {stats['residual']:.2e} is above rtol {solver.rtol:g}; "
+            "the solve stalled before reaching the tolerance",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     triple = recover_auxiliary(blocks, u, cfg.alpha)
     return Smoother(
         mesh=mesh,
@@ -302,16 +320,6 @@ def integrate(mesh, func, degree=5):
     _, points, weights = element_quadrature(mesh, degree)
     vals = np.asarray(func(points.reshape(-1, mesh.dim)), dtype=float)
     return float(weights.ravel() @ vals)
-
-
-def l2_norm(mesh, func, degree=5):
-    """L2 norm of a scalar or vector pointwise field."""
-    def sq(pts):
-        v = np.asarray(func(pts), dtype=float)
-        if v.ndim == 1:
-            return v ** 2
-        return (v ** 2).sum(axis=1)
-    return float(np.sqrt(max(integrate(mesh, sq, degree), 0.0)))
 
 
 def energy_norm(mesh, data_points, alpha, u, grad_u, sigma, jac_sigma, degree=5):

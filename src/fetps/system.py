@@ -7,14 +7,15 @@ eliminate exactly from the three-block system
     [ -rW    alpha*A+rM  D   ] [ sigma ] = [ 0 ]
     [ -B       D         0   ] [ phi   ]   [ 0 ]
 
-leaving the reduced operator
+leaving the reduced operator S = T + T^T, with G_k = D^-1 B_k and
 
-    S = (R + rK) - r (W^T D^-1 B + B^T D^-1 W)
-        + B^T D^-1 (alpha*K + rM) D^-1 B      (summed over components)
+    T = (R + rK)/2 + G_k^T V_k,   V_k = (alpha*K + rM) G_k/2 - r W_k
 
-which is symmetric and, for admissible data, positive definite. The
-stabilization weight r is consistent and fixed to 1; it is kept as a module
-constant so its effect can be probed in tests.
+summed over components (G_k^T V_k + V_k^T G_k = G_k^T (alpha*K + rM) G_k
+- r (W_k^T G_k + G_k^T W_k)). It is symmetric to the last bit and, for
+admissible data, positive definite. The stabilization weight r is
+consistent and fixed to 1; it is kept as a module constant so its effect
+can be probed in tests.
 """
 
 from dataclasses import dataclass
@@ -75,29 +76,25 @@ class SolutionTriple:
 
 
 def condense(blocks, alpha, r=STABILIZATION_R):
-    """Eliminate gradient and multiplier unknowns into one SPD operator."""
+    """Eliminate gradient and multiplier unknowns into one SPD operator.
+
+    Forms S = T + T^T (module docstring) with one sparse product, G^T V of
+    the stacked G_k and V_k; S_ij and S_ji add the same two numbers.
+    """
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     c = blocks.gram_diag
     if np.any(c <= 0):
         raise SingularSystemError("Gram diagonal has a nonpositive entry")
     dinv = 1.0 / c
-    S = (blocks.R + r * blocks.K).tocsr()
-    inner = (alpha * blocks.K + r * blocks.mass).tocsr()
-    for k in range(blocks.dim):
-        Bs = blocks.B[k].multiply(dinv[:, None]).tocsr()  # D^-1 B_k
-        X = blocks.W[k].T @ Bs
-        S = S - r * (X + X.T)
-        S = S + Bs.T @ inner @ Bs
-    asym = abs(S - S.T)
-    max_asym = asym.data.max() if asym.nnz else 0.0
-    scale = np.abs(S.data).max() if S.nnz else 1.0
-    if max_asym > 1e-12 * scale:
-        raise SingularSystemError(
-            f"condensed operator asymmetric: {max_asym:.3e} vs scale {scale:.3e}"
-        )
-    S = ((S + S.T) * 0.5).tocsr()
-    S.sum_duplicates()
+    G = [sp.csr_matrix(Bk.multiply(dinv[:, None])) for Bk in blocks.B]
+    half_inner = 0.5 * (alpha * blocks.K + r * blocks.mass)
+    V = sp.vstack([half_inner @ Gk - r * Wk for Gk, Wk in zip(G, blocks.W)], format="csr")
+    T = 0.5 * (blocks.R + r * blocks.K) + sp.vstack(G, format="csr").T @ V
+    S = T + T.T
+    # the sum was built in a buffer of nnz(T) + nnz(T^T) entries; keep nnz
+    nnz = S.nnz
+    S = sp.csr_matrix((S.data[:nnz].copy(), S.indices[:nnz].copy(), S.indptr), S.shape)
 
     R, K, mass = blocks.R, blocks.K, blocks.mass
     B, W = blocks.B, blocks.W

@@ -123,7 +123,27 @@ def test_fit_flags_residual_above_rtol(capsys, tmp_path):
     assert code == 0
     assert payload["residual"] > 1e-10
     assert payload["converged"] is False
-    assert "above rtol" in err
+    warning_lines = [line for line in err.splitlines() if "warn" in line.lower()]
+    assert len(warning_lines) == 1
+    assert warning_lines[0].startswith("warning: ") and "above rtol" in warning_lines[0]
+
+
+@pytest.mark.parametrize("alpha,domain", [
+    ("inf", "0,0,1,1"),
+    ("nan", "0,0,1,1"),
+    ("1e-3", "0,0,1,inf"),
+    ("1e-3", "nan,0,1,1"),
+])
+def test_fit_rejects_non_finite_alpha_or_domain(capsys, tmp_path, alpha, domain):
+    pts, _ = synth(capsys, tmp_path, n=500, seed=7)
+    model = tmp_path / "m.json"
+    code, payload, _ = run_cli(
+        capsys, "fit", "--input", str(pts), "--domain", domain,
+        "--cells", "8,8", "--alpha", alpha, "--out", str(model),
+    )
+    assert code == 2
+    assert payload["error"]["type"] == "input"
+    assert not model.exists()
 
 
 def test_fit_constant_self_check(capsys, tmp_path):
@@ -198,6 +218,23 @@ def test_eval_out_of_domain_rows(capsys, tmp_path):
     assert code == 3
     assert payload["error"]["type"] == "domain"
     assert payload["error"]["indices"] == [1, 3]
+
+
+def test_eval_non_finite_query_rows(capsys, tmp_path):
+    pts, _ = synth(capsys, tmp_path, n=40, seed=5)
+    model = tmp_path / "model.json"
+    run_cli(capsys, "fit", "--input", str(pts), "--domain", "0,0,1,1",
+            "--cells", "6,6", "--alpha", "1e-2", "--out", str(model))
+    query = tmp_path / "q.csv"
+    query.write_text("x,y\n0.5,0.5\nnan,0.5\n0.2,inf\n")
+    out = tmp_path / "o.csv"
+    code, payload, _ = run_cli(
+        capsys, "eval", "--model", str(model), "--query", str(query), "--out", str(out),
+    )
+    assert code == 3
+    assert payload["error"]["type"] == "domain"
+    assert payload["error"]["indices"] == [1, 2]
+    assert not out.exists()
 
 
 def test_eval_corrupt_model(capsys, tmp_path):

@@ -29,6 +29,17 @@ def test_domain_validation():
         Domain(np.array([0.0]), np.array([1.0]))
 
 
+@pytest.mark.parametrize("lower,upper", [
+    ([0.0, 0.0], [1.0, np.inf]),
+    ([-np.inf, 0.0], [1.0, 1.0]),
+    ([0.0, np.nan], [1.0, 1.0]),
+    ([0.0, 0.0, 0.0], [1.0, 1.0, np.nan]),
+])
+def test_domain_rejects_non_finite_corners(lower, upper):
+    with pytest.raises(ValueError, match="finite"):
+        Domain(np.array(lower), np.array(upper))
+
+
 def test_smallest_simplex_split(unit_square):
     mesh = build_structured_mesh(unit_square, (1, 1), "simplex")
     assert mesh.n_elements == 2
@@ -120,6 +131,16 @@ def test_locate_outside_raises(unit_square):
     with pytest.raises(OutOfDomainError) as err:
         locate_points(mesh, np.array([[0.5, 0.5], [1.5, 0.5]]))
     assert err.value.indices == [1]
+
+
+@pytest.mark.parametrize("kind", ["simplex", "parallelotope"])
+def test_locate_rejects_non_finite_points(kind, unit_square):
+    # every comparison with NaN is false, so NaN passes a bounds test alone
+    mesh = build_structured_mesh(unit_square, (2, 2), kind)
+    pts = np.array([[0.5, 0.5], [np.nan, 0.5], [0.2, np.inf], [-np.inf, 0.1], [0.3, 0.3]])
+    with pytest.raises(OutOfDomainError) as err:
+        locate_points(mesh, pts)
+    assert list(err.value.indices) == [1, 2, 3]
 
 
 def brute_locate(mesh, pts):

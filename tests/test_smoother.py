@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from fetps.smoother import (
     quasi_project_gradient,
     smoother_pair_fields,
 )
+from fetps.study import sample_scattered
 from fetps.system import SolverConfig, recover_auxiliary
 
 TIGHT = SolverConfig(rtol=1e-13)
@@ -39,8 +41,26 @@ def sites(rng):
 
 
 def test_fit_config_requires_positive_alpha():
-    with pytest.raises(ValueError):
-        FitConfig(alpha=0.0)
+    for alpha in (0.0, -1.0, np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError):
+            FitConfig(alpha=alpha)
+
+
+def test_fit_warns_when_it_misses_rtol(unit_square):
+    # Jacobi-PCG plus refinement stalls above the default rtol 1e-10 here
+    mesh = build_structured_mesh(unit_square, (16, 16), "simplex")
+    data = sample_scattered(get_field("franke", 2), unit_square, 5000, 7)
+    with pytest.warns(RuntimeWarning, match="above rtol"):
+        s = fit(data, mesh, FitConfig(alpha=1e6))
+    assert s.residual > SolverConfig().rtol
+
+
+def test_converging_fit_emits_no_warning(mesh8, sites):
+    data = ScatteredData(sites, np.sin(3.0 * sites[:, 0]) + sites[:, 1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = fit(data, mesh8, FitConfig(alpha=1e-3))
+    assert s.residual <= SolverConfig().rtol
 
 
 def test_fit_rejects_inadmissible_data(mesh8):

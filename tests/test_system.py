@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from conftest import SMALL_MESHES, Box, small_mesh
 from fetps.assembly import ScatteredData, assemble_system
 from fetps.errors import NoConvergenceError, SingularSystemError
 from fetps.mesh import build_structured_mesh
@@ -16,6 +17,22 @@ from fetps.system import (
 )
 
 ALPHAS = (1e-4, 1e-2, 1.0)
+
+# The 3D SMALL_MESHES have a single-cell axis, which keeps the standard
+# duals; a (2, 2, 2) box has the boundary-modified ones.
+CONDENSE_MESHES = SMALL_MESHES + [
+    ("simplex", Box((2, 2, 2))),
+    ("parallelotope", Box((2, 2, 2))),
+]
+CONDENSE_ALPHAS = ALPHAS + (1e6,)
+
+
+def mesh_blocks(kind, box, rng):
+    mesh = small_mesh(kind, box)
+    lo, hi = mesh.domain.lower, mesh.domain.upper
+    pts = lo + (hi - lo) * rng.uniform(0.0, 1.0, (20, mesh.dim))
+    zs = np.sin(2.0 * pts[:, 0]) + pts[:, -1] ** 2
+    return assemble_system(mesh, ScatteredData(pts, zs), check_gram=True)
 
 
 @pytest.fixture
@@ -59,22 +76,44 @@ def test_condense_kernel_reduces_to_data_term(small_system):
     for alpha in ALPHAS:
         op = condense(blocks, alpha)
         assert np.abs(op.matrix @ ones - blocks.R @ ones).max() < 1e-11
-        asym = np.abs((op.matrix - op.matrix.T).toarray()).max()
-        assert asym <= 1e-12 * np.abs(op.matrix.toarray()).max()
+        assert (op.matrix != op.matrix.T).nnz == 0
 
 
-def test_condense_matches_dense_schur_complement(small_system):
-    blocks, _ = small_system
-    n = blocks.n
-    for alpha in ALPHAS:
-        A = saddle_matrix_dense(blocks, alpha)
-        Auu = A[:n, :n]
-        Aus = A[:n, n:]
-        Asu = A[n:, :n]
-        Ass = A[n:, n:]
-        oracle = Auu - Aus @ np.linalg.solve(Ass, Asu)
-        ours = condense(blocks, alpha).matrix.toarray()
-        assert np.abs(ours - oracle).max() <= 1e-11 * np.abs(oracle).max()
+def test_condense_matches_dense_schur_complement(rng):
+    for kind, box in CONDENSE_MESHES:
+        blocks = mesh_blocks(kind, box, rng)
+        n = blocks.n
+        for alpha in CONDENSE_ALPHAS:
+            A = saddle_matrix_dense(blocks, alpha)
+            Auu = A[:n, :n]
+            Aus = A[:n, n:]
+            Asu = A[n:, :n]
+            Ass = A[n:, n:]
+            # The Schur complement is unchanged by the congruence E Ass E.
+            # Scaling the gradient unknowns down makes partial pivoting take
+            # the D rows first; pivoting on alpha*K + rM instead loses up to
+            # 1e-9 of max|S| at alpha = 1e6 (checked at 40 digits).
+            e = np.ones(Ass.shape[0])
+            e[:blocks.dim * n] = 1e-3 / max(1.0, alpha)
+            oracle = Auu - (Aus * e) @ np.linalg.solve(Ass * np.outer(e, e), e[:, None] * Asu)
+            ours = condense(blocks, alpha).matrix.toarray()
+            assert np.abs(ours - oracle).max() <= 1e-11 * np.abs(oracle).max(), (
+                kind, box, alpha)
+
+
+def buffer_size(a):
+    """Entries of the memory that `a` keeps alive: its own or its base's."""
+    return a.size if a.base is None else a.base.size
+
+
+@pytest.mark.parametrize("kind,box", CONDENSE_MESHES)
+def test_condense_is_exactly_symmetric_and_trimmed(kind, box, rng):
+    blocks = mesh_blocks(kind, box, rng)
+    for alpha in CONDENSE_ALPHAS:
+        S = condense(blocks, alpha).matrix
+        assert (S != S.T).nnz == 0
+        assert S.data.size == S.nnz
+        assert buffer_size(S.data) == buffer_size(S.indices) == S.nnz
 
 
 def test_condense_alpha_linearity(small_system):
