@@ -16,7 +16,6 @@ from .assembly import (
     assemble_mass,
     assemble_stiffness,
     assemble_system,
-    dump_matrix_market,
     evaluation_matrix,
 )
 from .elements import ElementPair, QuadratureRule, make_element_pair, quadrature
@@ -32,14 +31,10 @@ from .mesh import (
     Domain,
     Mesh,
     build_structured_mesh,
-    load_mesh_json,
-    locate_point,
     locate_points,
     mesh_from_dict,
     mesh_to_dict,
     refine_uniform,
-    save_mesh_json,
-    to_vtk,
 )
 from .smoother import (
     FitConfig,
@@ -62,7 +57,6 @@ from .system import (
     condense,
     recover_auxiliary,
     solve_reduced,
-    solve_saddle_dense,
 )
 
 __version__ = "0.1.0"

@@ -46,7 +46,9 @@ from .elements import quadrature
 from .errors import BiorthogonalityError
 from .mesh import Domain, build_structured_mesh, locate_points
 
-DEFAULT_QUAD_DEGREE = 2
+# Exact for every reference tensor: the integrands are products of two
+# (multi)linear functions or their gradients.
+QUAD_DEGREE = 2
 
 
 @dataclass(frozen=True)
@@ -93,7 +95,7 @@ class ScatteredData:
         return self.n >= self.dim + 1 and self.affine_rank() == self.dim
 
 
-def _element_matrices(mesh, degree, test, trial, geometry=None):
+def _element_matrices(mesh, test, trial, geometry=None):
     """Local matrices A[e, i, j] = ref[i, j, s, t] * geometry[e, s, t].
 
     ref[i, j, s, t] = int test[i, s] trial[j, t] over the reference cell, for
@@ -104,7 +106,7 @@ def _element_matrices(mesh, degree, test, trial, geometry=None):
     if np.any(mesh.det_jacobians <= 0):
         raise ValueError("mesh contains a degenerate element")
     pair = mesh.element_pair
-    rule = quadrature(mesh.cell_kind, degree)
+    rule = quadrature(mesh.cell_kind, QUAD_DEGREE)
     tables = {"phi": pair.nodal_eval(rule.points)[:, :, None],
               "mu": pair.dual_eval(rule.points)[:, :, None],
               "grad": pair.nodal_grad(rule.points)}
@@ -228,9 +230,9 @@ def _class_weights(kind, dim):
     ref = build_structured_mesh(Domain(np.zeros(dim), np.full(dim, 3.0)), (3,) * dim, kind)
     per_cell = ref.n_elements // 3 ** dim
     det_invj = ref.det_jacobians[:, None, None] * ref.inv_jacobians
-    gram = _element_matrices(ref, DEFAULT_QUAD_DEGREE, "mu", "phi")
+    gram = _element_matrices(ref, "mu", "phi")
     grad = np.stack([
-        _element_matrices(ref, DEFAULT_QUAD_DEGREE, "mu", "grad", det_invj[:, :, k])
+        _element_matrices(ref, "mu", "grad", det_invj[:, :, k])
         for k in range(dim)
     ])
     table = {}
@@ -305,55 +307,41 @@ def _strip_weights(mesh, vertex, strip, gram, grad):
     return beta.reshape(len(strip), nl)
 
 
-def assemble_stiffness(mesh, degree=DEFAULT_QUAD_DEGREE):
+def assemble_stiffness(mesh):
     """Scalar stiffness matrix; symmetric, constants in the kernel."""
     invj = mesh.inv_jacobians
     geometry = mesh.det_jacobians[:, None, None] * (invj @ invj.transpose(0, 2, 1))
-    return _scatter(mesh, _element_matrices(mesh, degree, "grad", "grad", geometry))
+    return _scatter(mesh, _element_matrices(mesh, "grad", "grad", geometry))
 
 
-def assemble_mass(mesh, degree=DEFAULT_QUAD_DEGREE):
+def assemble_mass(mesh):
     """Scalar mass matrix of the nodal basis."""
-    return _scatter(mesh, _element_matrices(mesh, degree, "phi", "phi"))
+    return _scatter(mesh, _element_matrices(mesh, "phi", "phi"))
 
 
-def assemble_gram_full(mesh, degree=DEFAULT_QUAD_DEGREE):
+def assemble_gram_full(mesh):
     """Full dual/primal coupling int mu_i phi_j (row i dual, column j primal).
 
     Diagonal by construction of the bases; assembled in full only to verify
     that.
     """
-    return _scatter(mesh, _element_matrices(mesh, degree, "mu", "phi"), dual_basis(mesh))
+    return _scatter(mesh, _element_matrices(mesh, "mu", "phi"), dual_basis(mesh))
 
 
-def assemble_gram_diagonal(mesh, degree=DEFAULT_QUAD_DEGREE, check=False):
+def assemble_gram_diagonal(mesh):
     """Diagonal c of the dual/primal coupling, c_j = int mu_j phi_j > 0.
 
     Computed as the row sum int mu_j = sum_k int mu_j phi_k, which is c_j
-    for a biorthogonal pair. With check=True the full coupling is assembled
-    instead and its off-diagonal entries are required to vanish to
-    roundoff; a violation means the dual basis is broken and raises
-    BiorthogonalityError.
+    for a biorthogonal pair (`assemble_gram_full` gives the whole coupling).
     """
-    if check:
-        gram = assemble_gram_full(mesh, degree)
-        diag = gram.diagonal().copy()
-        off = gram - sp.diags(diag)
-        max_off = np.abs(off.data).max() if off.nnz else 0.0
-        if max_off >= 1e-13 * diag.max():
-            raise BiorthogonalityError(
-                f"dual/primal coupling has off-diagonal {max_off:.3e} "
-                f"(max diagonal {diag.max():.3e})"
-            )
-    else:
-        local = _element_matrices(mesh, degree, "mu", "phi").sum(axis=2)
-        diag = dual_basis(mesh).moments(mesh, local)
+    local = _element_matrices(mesh, "mu", "phi").sum(axis=2)
+    diag = dual_basis(mesh).moments(mesh, local)
     if np.any(diag <= 0):
         raise BiorthogonalityError("nonpositive Gram diagonal entry")
     return diag
 
 
-def assemble_grad_coupling(mesh, test="dual", degree=DEFAULT_QUAD_DEGREE):
+def assemble_grad_coupling(mesh, test="dual"):
     """Per-component coupling blocks of grad(u) against dual or primal tests.
 
     Returns a tuple of d CSR matrices; block k holds int d_k phi_j * m_i
@@ -366,7 +354,7 @@ def assemble_grad_coupling(mesh, test="dual", degree=DEFAULT_QUAD_DEGREE):
     # d_k phi_j = dphi_j/dxhat_m (J^-1)[m, k]
     det_invj = mesh.det_jacobians[:, None, None] * mesh.inv_jacobians
     return tuple(
-        _scatter(mesh, _element_matrices(mesh, degree, basis, "grad", det_invj[:, :, k]), dual)
+        _scatter(mesh, _element_matrices(mesh, basis, "grad", det_invj[:, :, k]), dual)
         for k in range(mesh.dim)
     )
 
@@ -433,7 +421,7 @@ class SystemBlocks:
         return self.mesh.dim
 
 
-def assemble_system(mesh, data, check_gram=False):
+def assemble_system(mesh, data):
     """Assemble every block needed by the condensed solve for one data set."""
     if not isinstance(data, ScatteredData):
         raise TypeError("data must be a ScatteredData")
@@ -441,16 +429,9 @@ def assemble_system(mesh, data, check_gram=False):
         raise ValueError("data dimension does not match mesh dimension")
     K = assemble_stiffness(mesh)
     mass = assemble_mass(mesh)
-    c = assemble_gram_diagonal(mesh, check=check_gram)
+    c = assemble_gram_diagonal(mesh)
     B = assemble_grad_coupling(mesh, test="dual")
     W = assemble_grad_coupling(mesh, test="primal")
     P = evaluation_matrix(mesh, data.points)
     R, f = assemble_data_term(P, data.values)
     return SystemBlocks(mesh=mesh, K=K, mass=mass, gram_diag=c, B=B, W=W, P=P, R=R, f=f)
-
-
-def dump_matrix_market(matrix, path, comment=""):
-    """Write a sparse matrix in MatrixMarket coordinate format."""
-    from scipy.io import mmwrite
-
-    mmwrite(str(path), sp.coo_matrix(matrix), comment=comment)

@@ -10,7 +10,6 @@ Meshes are immutable after construction and safe to share across threads.
 """
 
 import itertools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,9 +74,9 @@ class Mesh:
     vertices : ndarray (n_vertices, dim)
     elements : ndarray (n_elements, n_loc) int
     h : float
-        Max element diameter.
-    quasi_uniformity : float
-        Max/min element diameter at build time.
+        Max element diameter: the diagonal of a grid cell, which every
+        element of the grid spans (a cell, or a simplex holding its main
+        diagonal).
     """
 
     def __init__(self, domain, cells_per_axis, kind, vertices, elements):
@@ -85,6 +84,7 @@ class Mesh:
             raise ValueError(f"unknown mesh kind {kind!r}")
         self.domain = domain
         self.cells_per_axis = tuple(int(c) for c in cells_per_axis)
+        self.h = float(np.linalg.norm(domain.extents / np.asarray(self.cells_per_axis)))
         self.kind = kind
         self.dim = domain.dim
         self.cell_kind = _cell_kind(kind, self.dim)
@@ -99,7 +99,6 @@ class Mesh:
             raise ValueError("element connectivity indexes nonexistent vertices")
         self._pair = make_element_pair(self.cell_kind)
         self._build_geometry()
-        self._build_adjacency()
         self.vertices.setflags(write=False)
         self.elements.setflags(write=False)
 
@@ -129,30 +128,11 @@ class Mesh:
         self.inv_jacobians = np.linalg.inv(jac)
         self.det_jacobians = det
         self.volumes = det * ref_vol
-        diffs = verts[:, :, None, :] - verts[:, None, :, :]
-        diam = np.sqrt((diffs ** 2).sum(axis=3)).max(axis=(1, 2))
-        self.diameters = diam
-        self.h = float(diam.max())
-        self.quasi_uniformity = float(diam.max() / diam.min())
         for arr in (self.element_origin, self.jacobians, self.inv_jacobians,
-                    self.det_jacobians, self.volumes, self.diameters):
+                    self.det_jacobians, self.volumes):
             arr.setflags(write=False)
 
-    def _build_adjacency(self):
-        counts = np.zeros(self.n_vertices + 1, dtype=np.int64)
-        np.add.at(counts[1:], self.elements.ravel(), 1)
-        offsets = np.cumsum(counts)
-        order = np.argsort(self.elements.ravel(), kind="stable")
-        self._v2e_data = (order // self.elements.shape[1]).astype(np.int64)
-        self._v2e_offsets = offsets
-        self._v2e_data.setflags(write=False)
-        self._v2e_offsets.setflags(write=False)
-
     # -- queries ---------------------------------------------------------
-
-    def vertex_elements(self, v):
-        """Ids of elements containing vertex v (ascending)."""
-        return self._v2e_data[self._v2e_offsets[v]:self._v2e_offsets[v + 1]]
 
     @property
     def element_pair(self):
@@ -348,39 +328,7 @@ def _flat_cell(mesh, cidx):
     return out
 
 
-def locate_point(mesh, x):
-    """Single-point convenience wrapper around locate_points."""
-    eids, refs = locate_points(mesh, np.asarray(x, dtype=float)[None, :])
-    return int(eids[0]), refs[0]
-
-
-# -- persistence / export -------------------------------------------------
-
-_VTK_CELL_TYPES = {"triangle": 5, "quad": 9, "tet": 10, "hex": 12}
-
-
-def to_vtk(mesh, path):
-    """Write the mesh as legacy ASCII VTK (POINTS/CELLS/CELL_TYPES)."""
-    nl = mesh.elements.shape[1]
-    lines = [
-        "# vtk DataFile Version 3.0",
-        "fetps mesh",
-        "ASCII",
-        "DATASET UNSTRUCTURED_GRID",
-        f"POINTS {mesh.n_vertices} double",
-    ]
-    for v in mesh.vertices:
-        coords = list(v) + [0.0] * (3 - mesh.dim)
-        lines.append(" ".join(f"{c:.17g}" for c in coords))
-    lines.append(f"CELLS {mesh.n_elements} {mesh.n_elements * (nl + 1)}")
-    for e in mesh.elements:
-        lines.append(" ".join([str(nl)] + [str(int(v)) for v in e]))
-    lines.append(f"CELL_TYPES {mesh.n_elements}")
-    ct = _VTK_CELL_TYPES[mesh.cell_kind]
-    lines.extend([str(ct)] * mesh.n_elements)
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
-
+# -- persistence -----------------------------------------------------------
 
 def mesh_to_dict(mesh):
     """JSON-ready description of the structured grid: kind, dim, domain, cells.
@@ -436,17 +384,3 @@ def grid_from_dict(data):
 def mesh_from_dict(data):
     """Rebuild the mesh of a `mesh_to_dict` description (see `grid_from_dict`)."""
     return build_structured_mesh(*grid_from_dict(data))
-
-
-def save_mesh_json(mesh, path):
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(mesh_to_dict(mesh), f)
-
-
-def load_mesh_json(path):
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            data = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"invalid mesh JSON: {exc}") from exc
-    return mesh_from_dict(data)

@@ -166,7 +166,7 @@ class Smoother:
         return cls.from_dict(data)
 
 
-def fit(data, mesh, cfg, solver=None, keep_system=True):
+def fit(data, mesh, cfg, solver=None):
     """Fit the smoothing spline to scattered data on a mesh.
 
     Parameters
@@ -176,9 +176,9 @@ def fit(data, mesh, cfg, solver=None, keep_system=True):
     mesh : Mesh
     cfg : FitConfig
     solver : SolverConfig, optional
-    keep_system : bool
-        Keep assembled blocks on the returned smoother (cheap, and makes
-        functional evaluations reuse them).
+
+    The returned smoother keeps the assembled blocks and the reduced
+    operator, so functional evaluations reuse them.
 
     Warns (RuntimeWarning) when the solve returns above the solver's rtol;
     the smoother's `residual` then says by how much.
@@ -211,8 +211,8 @@ def fit(data, mesh, cfg, solver=None, keep_system=True):
         alpha=cfg.alpha,
         iterations=stats["iterations"],
         residual=stats["residual"],
-        blocks=blocks if keep_system else None,
-        reduced=op if keep_system else None,
+        blocks=blocks,
+        reduced=op,
     )
 
 

@@ -51,8 +51,7 @@ class StudyConfig:
     def __post_init__(self):
         if self.levels < 3:
             raise ValueError("need at least 3 levels to estimate orders")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        FitConfig(self.alpha)  # alpha must be finite and positive
         unknown = set(self.columns) - set(ALL_COLUMNS)
         if unknown:
             raise ValueError(f"unknown study columns: {sorted(unknown)}")

@@ -1,4 +1,4 @@
-"""Static condensation to one SPD system, its iterative solve, and oracles.
+"""Static condensation to one SPD system, its iterative solve, and recovery.
 
 With the Gram matrix diagonal (c > 0), the gradient and multiplier unknowns
 eliminate exactly from the three-block system
@@ -28,32 +28,27 @@ from .errors import NoConvergenceError, SingularSystemError
 
 STABILIZATION_R = 1.0
 
-DENSE_ORACLE_CAP = 3000
-
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Conjugate-gradient settings for the reduced SPD solve."""
+    """Settings of the Jacobi-preconditioned CG solve of the reduced system."""
 
     rtol: float = 1e-10
     max_iter: int = None  # defaults to 10 * n
-    preconditioner: str = "jacobi"
 
     def __post_init__(self):
         if not 0.0 < self.rtol < 1.0:
             raise ValueError("rtol must lie in (0, 1)")
         if self.max_iter is not None and self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.preconditioner not in ("jacobi", "none"):
-            raise ValueError("preconditioner must be 'jacobi' or 'none'")
 
 
 @dataclass(frozen=True)
 class ReducedOperator:
-    """Explicit sparse reduced operator with its smoothing weight.
+    """Explicit sparse reduced operator and its block composition.
 
     `apply` evaluates the same operator as the composition of the original
-    blocks. The two agree up to rounding in the explicit triple products;
+    blocks. The two agree up to rounding in the explicit products;
     the composition preserves the kernel identities (constants, linears)
     to machine precision even for extreme alpha, so the solver uses it for
     residual refinement. `kernel` holds the vertex values of 1, x_1, ..,
@@ -61,9 +56,8 @@ class ReducedOperator:
     """
 
     matrix: sp.csr_matrix
-    alpha: float
-    apply: object = None
-    kernel: np.ndarray = None
+    apply: object
+    kernel: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -110,7 +104,7 @@ def condense(blocks, alpha, r=STABILIZATION_R):
         return out
 
     kernel = np.column_stack([np.ones(blocks.n), blocks.mesh.vertices])
-    return ReducedOperator(matrix=S, alpha=float(alpha), apply=apply, kernel=kernel)
+    return ReducedOperator(matrix=S, apply=apply, kernel=kernel)
 
 
 def _pcg(S, rhs, minv, abs_tol, max_iter):
@@ -120,8 +114,7 @@ def _pcg(S, rhs, minv, abs_tol, max_iter):
     rnorm = np.linalg.norm(res)
     if rnorm <= abs_tol:
         return x, 0, rnorm
-    z = minv * res if minv is not None else res
-    p = z.copy()
+    p = z = minv * res
     rz = res @ z
     for it in range(1, max_iter + 1):
         Sp = S @ p
@@ -136,7 +129,7 @@ def _pcg(S, rhs, minv, abs_tol, max_iter):
         rnorm = np.linalg.norm(res)
         if rnorm <= abs_tol:
             return x, it, rnorm
-        z = minv * res if minv is not None else res
+        z = minv * res
         rz_new = res @ z
         p = z + (rz_new / rz) * p
         rz = rz_new
@@ -144,14 +137,14 @@ def _pcg(S, rhs, minv, abs_tol, max_iter):
 
 
 def solve_reduced(op, f, cfg=None, return_stats=False):
-    """Solve the reduced SPD system by (optionally Jacobi-) preconditioned CG.
+    """Solve the reduced SPD system by Jacobi-preconditioned CG.
 
-    CG runs on the explicitly assembled operator; when the operator carries
-    a block-composition `apply`, the solution is polished by iterative
-    refinement against the composition residual, which removes the rounding
-    bias of the explicit triple products at large alpha. If refinement
-    stalls above rtol, one Galerkin step on the operator's `kernel` (the
-    affine functions) removes the error hidden below that floor.
+    CG runs on the explicitly assembled operator; the solution is then
+    polished by iterative refinement against the residual of the block
+    composition `op.apply`, which removes the rounding bias of the explicit
+    products at large alpha. If refinement stalls above rtol, one Galerkin
+    step on the operator's `kernel` (the affine functions) removes the
+    error hidden below that floor.
 
     Raises NoConvergenceError (carrying the last relative residual) when the
     iteration cap is hit, and SingularSystemError when the operator turns
@@ -167,18 +160,14 @@ def solve_reduced(op, f, cfg=None, return_stats=False):
     if fnorm == 0.0:
         u = np.zeros(n)
         return (u, {"iterations": 0, "residual": 0.0}) if return_stats else u
-    if cfg.preconditioner == "jacobi":
-        diag = S.diagonal()
-        if np.any(diag <= 0):
-            raise SingularSystemError("nonpositive diagonal; operator not SPD")
-        minv = 1.0 / diag
-    else:
-        minv = None
+    diag = S.diagonal()
+    if np.any(diag <= 0):
+        raise SingularSystemError("nonpositive diagonal; operator not SPD")
+    minv = 1.0 / diag
     max_iter = cfg.max_iter if cfg.max_iter is not None else 10 * n
     abs_tol = cfg.rtol * fnorm
 
-    x, used, rnorm = _pcg(S, f, minv, abs_tol, max_iter)
-    total = used
+    x, total, rnorm = _pcg(S, f, minv, abs_tol, max_iter)
     if rnorm > abs_tol:
         raise NoConvergenceError(
             f"CG did not reach rtol={cfg.rtol:g} in {max_iter} iterations "
@@ -186,30 +175,28 @@ def solve_reduced(op, f, cfg=None, return_stats=False):
             residual=rnorm / fnorm,
             iterations=total,
         )
-    rel = rnorm / fnorm
-    if op.apply is not None:
-        # Best-effort polish: the composition can be applied more accurately
-        # than the explicit products were formed, but it also has its own
-        # rounding floor, so refine only while it clearly helps.
+    # Best-effort polish: the composition can be applied more accurately
+    # than the explicit products were formed, but it also has its own
+    # rounding floor, so refine only while it clearly helps.
+    rel = np.linalg.norm(f - op.apply(x)) / fnorm
+    for _ in range(4):
+        if rel <= cfg.rtol or total >= max_iter:
+            break
+        res = f - op.apply(x)
+        delta, used, _ = _pcg(
+            S, res, minv, 0.05 * np.linalg.norm(res), max_iter - total
+        )
+        total += used
+        candidate = x + delta
+        new_rel = np.linalg.norm(f - op.apply(candidate)) / fnorm
+        if new_rel >= 0.5 * rel:
+            if new_rel < rel:
+                x, rel = candidate, new_rel
+            break
+        x, rel = candidate, new_rel
+    if rel > cfg.rtol:
+        x = _correct_on_kernel(op, f, x)
         rel = np.linalg.norm(f - op.apply(x)) / fnorm
-        for _ in range(4):
-            if rel <= cfg.rtol or total >= max_iter:
-                break
-            res = f - op.apply(x)
-            delta, used, _ = _pcg(
-                S, res, minv, 0.05 * np.linalg.norm(res), max_iter - total
-            )
-            total += used
-            candidate = x + delta
-            new_rel = np.linalg.norm(f - op.apply(candidate)) / fnorm
-            if new_rel >= 0.5 * rel:
-                if new_rel < rel:
-                    x, rel = candidate, new_rel
-                break
-            x, rel = candidate, new_rel
-        if rel > cfg.rtol and op.kernel is not None:
-            x = _correct_on_kernel(op, f, x)
-            rel = np.linalg.norm(f - op.apply(x)) / fnorm
     stats = {"iterations": total, "residual": float(rel)}
     return (x, stats) if return_stats else x
 
@@ -260,66 +247,4 @@ def recover_auxiliary(blocks, u, alpha, r=STABILIZATION_R):
     phi = np.stack([
         dinv * (r * (Wk @ u) - inner @ sk) for Wk, sk in zip(blocks.W, sigma)
     ])
-    return SolutionTriple(u=u, sigma=sigma, phi=phi)
-
-
-def saddle_matrix_dense(blocks, alpha, r=STABILIZATION_R):
-    """Dense (1+2d)n x (1+2d)n symmetric indefinite three-block matrix."""
-    d = blocks.dim
-    n = blocks.n
-    D = sp.diags(blocks.gram_diag)
-    inner = alpha * blocks.K + r * blocks.mass
-    Z = None
-    grid = [[None] * (1 + 2 * d) for _ in range(1 + 2 * d)]
-    grid[0][0] = blocks.R + r * blocks.K
-    for k in range(d):
-        grid[0][1 + k] = -r * blocks.W[k].T
-        grid[0][1 + d + k] = -blocks.B[k].T
-        grid[1 + k][0] = -r * blocks.W[k]
-        grid[1 + k][1 + k] = inner
-        grid[1 + k][1 + d + k] = D
-        grid[1 + d + k][0] = -blocks.B[k]
-        grid[1 + d + k][1 + k] = D
-    return sp.bmat(grid, format="csr").toarray()
-
-
-def solve_saddle_dense(blocks, alpha, f=None, r=STABILIZATION_R, cap=DENSE_ORACLE_CAP):
-    """Direct dense factorization of the full three-block system (oracle).
-
-    Refuses systems larger than `cap` total unknowns. Raises
-    SingularSystemError when the factorization detects (near-)singularity,
-    which is how inadmissible scattered data shows up here.
-    """
-    d = blocks.dim
-    n = blocks.n
-    total = (1 + 2 * d) * n
-    if total > cap:
-        raise ValueError(
-            f"dense saddle solve refused: {total} unknowns exceeds cap {cap}"
-        )
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    A = saddle_matrix_dense(blocks, alpha, r=r)
-    rhs = np.zeros(total)
-    fvec = blocks.f if f is None else np.asarray(f, dtype=float).ravel()
-    rhs[:n] = fvec
-    lu, piv = scipy.linalg.lu_factor(A)
-    # 1-norm condition estimate from the LU factors
-    anorm = np.abs(A).sum(axis=0).max()
-    rcond, _ = scipy.linalg.lapack.dgecon(lu, anorm, norm="1")
-    if rcond < 1e-13:
-        raise SingularSystemError(
-            f"saddle matrix numerically singular (rcond={rcond:.3e}); "
-            "scattered data may lack d+1 affinely independent points"
-        )
-    sol = scipy.linalg.lu_solve((lu, piv), rhs)
-    resid = np.linalg.norm(A @ sol - rhs)
-    rhs_norm = np.linalg.norm(rhs)
-    if rhs_norm > 0 and resid / rhs_norm > 1e-10:
-        raise SingularSystemError(
-            f"dense saddle solve residual {resid / rhs_norm:.3e} exceeds 1e-10"
-        )
-    u = sol[:n]
-    sigma = sol[n:n + d * n].reshape(d, n)
-    phi = sol[n + d * n:].reshape(d, n)
     return SolutionTriple(u=u, sigma=sigma, phi=phi)

@@ -2,9 +2,13 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from fetps.assembly import assemble_gram_full
 from fetps.elements import quadrature
+from fetps.errors import SingularSystemError
 from fetps.mesh import Domain, build_structured_mesh
+from fetps.system import STABILIZATION_R, SolutionTriple
 
 
 @pytest.fixture
@@ -75,10 +79,8 @@ def element_patch(mesh, eid):
     """
     if not 0 <= eid < mesh.n_elements:
         raise ValueError(f"element id {eid} out of range")
-    members = set()
-    for v in mesh.elements[eid]:
-        members.update(mesh.vertex_elements(int(v)).tolist())
-    return Patch(center=int(eid), members=tuple(sorted(members)))
+    members = np.flatnonzero(np.isin(mesh.elements, mesh.elements[eid]).any(axis=1))
+    return Patch(center=int(eid), members=tuple(members.tolist()))
 
 
 def fe_value_on_element(mesh, coeffs, eid, points):
@@ -152,3 +154,90 @@ def grad_primal_kernel(k):
     def kernel(i, j, xq, phi, grad, mu):
         return grad[:, j, k] * phi[:, i]
     return kernel
+
+
+def assert_biorthogonal(mesh, gram_diag):
+    """The full dual/primal coupling is diagonal to roundoff, with diagonal gram_diag."""
+    gram = assemble_gram_full(mesh)
+    diag = gram.diagonal()
+    off = gram - sp.diags(diag)
+    max_off = np.abs(off.data).max() if off.nnz else 0.0
+    assert max_off < 1e-13 * diag.max(), f"off-diagonal {max_off:.3e}, max diagonal {diag.max():.3e}"
+    assert np.abs(gram_diag - diag).max() <= 1e-13 * diag.max()
+
+
+# -- dense three-block oracle ------------------------------------------------
+
+DENSE_ORACLE_CAP = 3000
+# A backward stable solve stays within a small multiple of the unit
+# roundoff; the oracle's solves measure 2e-17..4e-16, alpha up to 1e6.
+BACKWARD_ERROR_CUT = 1e-14
+
+
+def backward_error(A, x, b):
+    """Normwise backward error ||A x - b|| / (||A|| ||x|| + ||b||), infinity norms."""
+    norm = lambda v: np.linalg.norm(v, np.inf)
+    scale = norm(A) * norm(x) + norm(b)
+    return norm(A @ x - b) / scale if scale else 0.0  # x = b = 0 is exact
+
+
+def saddle_matrix_dense(blocks, alpha):
+    """Dense (1+2d)n x (1+2d)n symmetric indefinite three-block matrix."""
+    d, r = blocks.dim, STABILIZATION_R
+    D = sp.diags(blocks.gram_diag)
+    inner = alpha * blocks.K + r * blocks.mass
+    grid = [[None] * (1 + 2 * d) for _ in range(1 + 2 * d)]
+    grid[0][0] = blocks.R + r * blocks.K
+    for k in range(d):
+        grid[0][1 + k] = -r * blocks.W[k].T
+        grid[0][1 + d + k] = -blocks.B[k].T
+        grid[1 + k][0] = -r * blocks.W[k]
+        grid[1 + k][1 + k] = inner
+        grid[1 + k][1 + d + k] = D
+        grid[1 + d + k][0] = -blocks.B[k]
+        grid[1 + d + k][1 + k] = D
+    return sp.bmat(grid, format="csr").toarray()
+
+
+def scaled_saddle_matrix(blocks, alpha):
+    """The congruence E A E of the three-block matrix A, and the diagonal e of E.
+
+    E scales the gradient unknowns by 1e-3 / max(1, alpha) and keeps the
+    others, which leaves the Schur complement on u unchanged. Partial
+    pivoting then takes the D rows first; pivoting on alpha*K + rM instead
+    loses up to 1e-9 of max|S| at alpha = 1e6 (checked at 40 digits).
+    """
+    n, d = blocks.n, blocks.dim
+    e = np.ones((1 + 2 * d) * n)
+    e[n:(1 + d) * n] = 1e-3 / max(1.0, alpha)
+    return saddle_matrix_dense(blocks, alpha) * np.outer(e, e), e
+
+
+def solve_saddle_dense(blocks, alpha):
+    """Direct dense solve of the full three-block system.
+
+    The system is singular exactly when the reduced operator is singular on
+    the affine functions Z = [1, x] at the vertices, where it is Z^T R Z =
+    (P Z)^T (P Z): so data whose P Z is rank deficient (fewer than d+1
+    affinely independent sites) raise SingularSystemError. The solve runs on
+    `scaled_saddle_matrix`, and its normwise backward error against A must
+    stay at rounding level.
+    """
+    d, n = blocks.dim, blocks.n
+    total = (1 + 2 * d) * n
+    if total > DENSE_ORACLE_CAP:
+        raise ValueError(f"dense saddle solve refused: {total} unknowns exceeds {DENSE_ORACLE_CAP}")
+    Z = np.column_stack([np.ones(n), blocks.mesh.vertices])
+    if np.linalg.matrix_rank(blocks.P @ Z) < d + 1:
+        raise SingularSystemError(
+            "saddle matrix singular: scattered data lack d+1 affinely independent points"
+        )
+    rhs = np.zeros(total)
+    rhs[:n] = blocks.f
+    scaled, e = scaled_saddle_matrix(blocks, alpha)
+    sol = e * np.linalg.solve(scaled, e * rhs)
+    error = backward_error(saddle_matrix_dense(blocks, alpha), sol, rhs)
+    if error > BACKWARD_ERROR_CUT:
+        raise SingularSystemError(f"dense saddle solve backward error {error:.3e}")
+    return SolutionTriple(u=sol[:n], sigma=sol[n:(1 + d) * n].reshape(d, n),
+                          phi=sol[(1 + d) * n:].reshape(d, n))

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from conftest import solve_saddle_dense
 from fetps.assembly import ScatteredData, assemble_gram_full, assemble_system
 from fetps.errors import SingularSystemError
 from fetps.fields import get_field
@@ -28,7 +29,7 @@ from fetps.study import (
     sample_scattered,
     superconvergence_error,
 )
-from fetps.system import SolverConfig, condense, solve_saddle_dense
+from fetps.system import SolverConfig, condense
 
 UNIT_SQUARE = Domain(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
 UNIT_CUBE = Domain(np.zeros(3), np.ones(3))

@@ -9,6 +9,7 @@ from conftest import (
     OFFSET_3D,
     SMALL_MESHES,
     Box,
+    assert_biorthogonal,
     brute_force_matrix,
     grad_dual_kernel,
     grad_primal_kernel,
@@ -27,7 +28,6 @@ from fetps.assembly import (
     assemble_stiffness,
     assemble_system,
     dual_basis,
-    dump_matrix_market,
     evaluation_matrix,
 )
 from fetps.errors import OutOfDomainError
@@ -146,7 +146,8 @@ def test_mass_spd(unit_square):
 
 def test_gram_diagonal_values_simplex(unit_square):
     mesh = build_structured_mesh(unit_square, (1, 1), "simplex")
-    c = assemble_gram_diagonal(mesh, check=True)
+    c = assemble_gram_diagonal(mesh)
+    assert_biorthogonal(mesh, c)
     # corner vertices sit in one triangle of area 1/2: c = |T|/3 = 1/6
     counts = np.bincount(mesh.elements.ravel(), minlength=4)
     assert np.allclose(c, counts * (0.5 / 3.0), atol=1e-14)
@@ -156,7 +157,8 @@ def test_gram_diagonal_values_simplex(unit_square):
 def test_gram_diagonal_proportional_to_support(unit_square):
     for kind, divisor in (("simplex", 3.0), ("parallelotope", 4.0)):
         mesh = build_structured_mesh(unit_square, (4, 3), kind)
-        c = assemble_gram_diagonal(mesh, check=True)
+        c = assemble_gram_diagonal(mesh)
+        assert_biorthogonal(mesh, c)
         support = np.zeros(mesh.n_vertices)
         for e in range(mesh.n_elements):
             support[mesh.elements[e]] += mesh.volumes[e]
@@ -367,22 +369,12 @@ def test_dual_space_approximation_order(unit_square):
     assert np.log2(errs[2] / errs[3]) >= 0.9
 
 
-def test_matrix_market_round_trip(tmp_path, unit_square):
-    from scipy.io import mmread
-
-    mesh = build_structured_mesh(unit_square, (2, 2), "simplex")
-    K = assemble_stiffness(mesh)
-    path = tmp_path / "K.mtx"
-    dump_matrix_market(K, path)
-    back = mmread(path).tocsr()
-    assert np.abs((K - back).toarray()).max() < 1e-15
-
-
 def test_assemble_system_shapes(unit_square, rng):
     mesh = build_structured_mesh(unit_square, (3, 3), "simplex")
     pts = rng.uniform(0, 1, (12, 2))
     data = ScatteredData(pts, rng.normal(size=12))
-    blocks = assemble_system(mesh, data, check_gram=True)
+    blocks = assemble_system(mesh, data)
+    assert_biorthogonal(mesh, blocks.gram_diag)
     n = mesh.n_vertices
     assert blocks.K.shape == (n, n)
     assert len(blocks.B) == 2 and len(blocks.W) == 2

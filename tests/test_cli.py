@@ -346,6 +346,16 @@ def test_study_rejects_bad_levels(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+def test_study_rejects_non_finite_alpha(capsys, alpha):
+    code, payload, _ = run_cli(
+        capsys, "study", "--field", "linear", "--domain", "0,0,1,1",
+        "--levels", "3", "--alpha", alpha, "--columns", "superconvergence",
+    )
+    assert code == 2
+    assert payload["error"]["type"] == "input"
+
+
 def test_domain_parse_errors(capsys, tmp_path):
     code, payload, _ = run_cli(
         capsys, "synth", "--field", "linear", "--domain", "0,0,1",

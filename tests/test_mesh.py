@@ -12,13 +12,10 @@ from fetps.mesh import (
     _REF_TOL,
     Domain,
     build_structured_mesh,
-    load_mesh_json,
-    locate_point,
     locate_points,
     mesh_from_dict,
+    mesh_to_dict,
     refine_uniform,
-    save_mesh_json,
-    to_vtk,
 )
 
 
@@ -54,6 +51,14 @@ def test_parallelotope_counts_and_h(unit_square):
     assert mesh.h == pytest.approx(np.sqrt(2.0) / 2.0, abs=1e-14)
 
 
+@pytest.mark.parametrize("kind,box", SMALL_MESHES)
+def test_h_is_max_element_diameter(kind, box):
+    mesh = small_mesh(kind, box)
+    verts = mesh.vertices[mesh.elements]
+    diam = np.linalg.norm(verts[:, :, None, :] - verts[:, None, :, :], axis=3).max(axis=(1, 2))
+    assert mesh.h == pytest.approx(diam.max(), rel=1e-15)
+
+
 def test_kuhn_split_volumes(unit_cube):
     mesh = build_structured_mesh(unit_cube, (1, 1, 1), "simplex")
     assert mesh.n_elements == 6
@@ -81,7 +86,6 @@ def test_refine_counts_and_h(unit_square):
     fine = refine_uniform(mesh)
     assert fine.n_elements == 8
     assert fine.h == pytest.approx(mesh.h / 2.0, abs=1e-15)
-    assert fine.quasi_uniformity == pytest.approx(mesh.quasi_uniformity)
 
 
 @pytest.mark.parametrize("kind,dim", [("simplex", 2), ("parallelotope", 2),
@@ -103,9 +107,9 @@ def test_locate_round_trip(kind, dim, rng):
 def test_locate_cell_center_element_zero(unit_square):
     mesh = build_structured_mesh(unit_square, (4, 4), "simplex")
     centroid = mesh.vertices[mesh.elements[0]].mean(axis=0)
-    eid, ref = locate_point(mesh, centroid)
-    assert eid == 0
-    assert np.allclose(ref, [1.0 / 3.0, 1.0 / 3.0], atol=1e-13)
+    eids, refs = locate_points(mesh, centroid)
+    assert eids.tolist() == [0]
+    assert np.allclose(refs[0], [1.0 / 3.0, 1.0 / 3.0], atol=1e-13)
 
 
 def test_locate_vertex_tie_breaks_to_smallest_id(unit_square):
@@ -117,8 +121,8 @@ def test_locate_vertex_tie_breaks_to_smallest_id(unit_square):
         ref = mesh.map_to_reference(np.array([e]), x[None, :])[0]
         if ref.min() >= -1e-10 and ref.sum() <= 1 + 1e-10:
             containing.append(e)
-    eid, _ = locate_point(mesh, x)
-    assert eid == min(containing)
+    eids, _ = locate_points(mesh, x)
+    assert eids.tolist() == [min(containing)]
     # shared-edge midpoints resolve the same way
     mids = (mesh.vertices[mesh.elements[:, 0]] + mesh.vertices[mesh.elements[:, 1]]) / 2.0
     eids, refs = locate_points(mesh, mids)
@@ -275,23 +279,11 @@ def test_patch_invalid_id(unit_square):
         element_patch(mesh, 99)
 
 
-def test_vtk_export(tmp_path, unit_square):
-    mesh = build_structured_mesh(unit_square, (2, 2), "simplex")
-    path = tmp_path / "mesh.vtk"
-    to_vtk(mesh, path)
-    text = path.read_text().splitlines()
-    assert text[0].startswith("# vtk DataFile")
-    assert f"POINTS {mesh.n_vertices} double" in text
-    assert f"CELL_TYPES {mesh.n_elements}" in text
-    assert text[-1] == "5"  # VTK triangle
-
-
-def test_json_round_trip(tmp_path, unit_cube):
+def test_json_round_trip(unit_cube):
     mesh = build_structured_mesh(unit_cube, (2, 1, 2), "parallelotope")
-    path = tmp_path / "mesh.json"
-    save_mesh_json(mesh, path)
-    assert set(json.loads(path.read_text())) == {"kind", "dim", "structured"}
-    loaded = load_mesh_json(path)
+    text = json.dumps(mesh_to_dict(mesh))
+    assert set(json.loads(text)) == {"kind", "dim", "structured"}
+    loaded = mesh_from_dict(json.loads(text))
     assert loaded.kind == mesh.kind
     assert np.array_equal(loaded.elements, mesh.elements)
     assert np.array_equal(loaded.vertices, mesh.vertices)

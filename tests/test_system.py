@@ -2,19 +2,20 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import SMALL_MESHES, Box, small_mesh
+from conftest import (
+    SMALL_MESHES,
+    Box,
+    assert_biorthogonal,
+    saddle_matrix_dense,
+    scaled_saddle_matrix,
+    small_mesh,
+    solve_saddle_dense,
+)
 from fetps.assembly import ScatteredData, assemble_system
 from fetps.errors import NoConvergenceError, SingularSystemError
 from fetps.mesh import build_structured_mesh
 from fetps.smoother import lagrange_interpolate
-from fetps.system import (
-    SolverConfig,
-    condense,
-    recover_auxiliary,
-    saddle_matrix_dense,
-    solve_reduced,
-    solve_saddle_dense,
-)
+from fetps.system import SolverConfig, condense, recover_auxiliary, solve_reduced
 
 ALPHAS = (1e-4, 1e-2, 1.0)
 
@@ -32,7 +33,9 @@ def mesh_blocks(kind, box, rng):
     lo, hi = mesh.domain.lower, mesh.domain.upper
     pts = lo + (hi - lo) * rng.uniform(0.0, 1.0, (20, mesh.dim))
     zs = np.sin(2.0 * pts[:, 0]) + pts[:, -1] ** 2
-    return assemble_system(mesh, ScatteredData(pts, zs), check_gram=True)
+    blocks = assemble_system(mesh, ScatteredData(pts, zs))
+    assert_biorthogonal(mesh, blocks.gram_diag)
+    return blocks
 
 
 @pytest.fixture
@@ -41,7 +44,9 @@ def small_system(unit_square, rng):
     pts = rng.uniform(0.0, 1.0, (20, 2))
     zs = np.sin(2.0 * pts[:, 0]) + pts[:, 1] ** 2
     data = ScatteredData(pts, zs)
-    return assemble_system(mesh, data, check_gram=True), data
+    blocks = assemble_system(mesh, data)
+    assert_biorthogonal(mesh, blocks.gram_diag)
+    return blocks, data
 
 
 def test_solver_config_validation():
@@ -49,8 +54,6 @@ def test_solver_config_validation():
         SolverConfig(rtol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(max_iter=0)
-    with pytest.raises(ValueError):
-        SolverConfig(preconditioner="ilu")
 
 
 def test_condense_requires_positive_alpha(small_system):
@@ -84,18 +87,8 @@ def test_condense_matches_dense_schur_complement(rng):
         blocks = mesh_blocks(kind, box, rng)
         n = blocks.n
         for alpha in CONDENSE_ALPHAS:
-            A = saddle_matrix_dense(blocks, alpha)
-            Auu = A[:n, :n]
-            Aus = A[:n, n:]
-            Asu = A[n:, :n]
-            Ass = A[n:, n:]
-            # The Schur complement is unchanged by the congruence E Ass E.
-            # Scaling the gradient unknowns down makes partial pivoting take
-            # the D rows first; pivoting on alpha*K + rM instead loses up to
-            # 1e-9 of max|S| at alpha = 1e6 (checked at 40 digits).
-            e = np.ones(Ass.shape[0])
-            e[:blocks.dim * n] = 1e-3 / max(1.0, alpha)
-            oracle = Auu - (Aus * e) @ np.linalg.solve(Ass * np.outer(e, e), e[:, None] * Asu)
+            A, _ = scaled_saddle_matrix(blocks, alpha)
+            oracle = A[:n, :n] - A[:n, n:] @ np.linalg.solve(A[n:, n:], A[n:, :n])
             ours = condense(blocks, alpha).matrix.toarray()
             assert np.abs(ours - oracle).max() <= 1e-11 * np.abs(oracle).max(), (
                 kind, box, alpha)
@@ -140,14 +133,10 @@ def test_solve_reduced_zero_rhs(small_system):
 def test_solve_reduced_meets_tolerance(small_system):
     blocks, _ = small_system
     op = condense(blocks, 1e-2)
-    for pre in ("jacobi", "none"):
-        u, stats = solve_reduced(
-            op, blocks.f, SolverConfig(rtol=1e-12, preconditioner=pre),
-            return_stats=True,
-        )
-        res = np.linalg.norm(op.matrix @ u - blocks.f) / np.linalg.norm(blocks.f)
-        assert res < 1e-11
-        assert stats["iterations"] >= 1
+    u, stats = solve_reduced(op, blocks.f, SolverConfig(rtol=1e-12), return_stats=True)
+    res = np.linalg.norm(op.matrix @ u - blocks.f) / np.linalg.norm(blocks.f)
+    assert res < 1e-11
+    assert stats["iterations"] >= 1
 
 
 def test_solve_reduced_interpolates_linear_data(unit_square, rng):
@@ -215,15 +204,20 @@ def test_recovered_triple_satisfies_constraint_and_saddle(small_system):
 
 def test_dense_oracle_matches_reduced_path(small_system):
     blocks, _ = small_system
-    for alpha in ALPHAS:
+    for alpha in CONDENSE_ALPHAS:
         u = solve_reduced(condense(blocks, alpha), blocks.f,
                           SolverConfig(rtol=1e-12))
         triple = recover_auxiliary(blocks, u, alpha)
         dense = solve_saddle_dense(blocks, alpha)
-        for ours, oracle in ((triple.u, dense.u), (triple.sigma, dense.sigma),
-                             (triple.phi, dense.phi)):
+        # At alpha = 1e6 the reduced solve stops at its rounding floor (5e-10)
+        # and phi = D^-1 (r W u - (alpha K + r M) sigma) multiplies the part
+        # of the sigma error that K sees by alpha: phi agrees to 3.5e-8 there.
+        phi_bound = 1e-8 if alpha <= 1.0 else 1e-6
+        for ours, oracle, bound in ((triple.u, dense.u, 1e-8),
+                                    (triple.sigma, dense.sigma, 1e-8),
+                                    (triple.phi, dense.phi, phi_bound)):
             rel = np.linalg.norm(ours - oracle) / max(np.linalg.norm(oracle), 1e-30)
-            assert rel < 1e-8
+            assert rel < bound, alpha
 
 
 def test_dense_oracle_zero_data(unit_square, rng):
@@ -242,12 +236,6 @@ def test_dense_oracle_collinear_data_singular(unit_square):
     blocks = assemble_system(mesh, ScatteredData(line, np.ones(12)))
     with pytest.raises(SingularSystemError):
         solve_saddle_dense(blocks, 1e-2)
-
-
-def test_dense_oracle_dimension_cap(small_system):
-    blocks, _ = small_system
-    with pytest.raises(ValueError):
-        solve_saddle_dense(blocks, 1e-2, cap=10)
 
 
 def test_reduced_spd_and_collinear_near_null(unit_square, rng):
