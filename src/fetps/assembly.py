@@ -188,12 +188,13 @@ def dual_basis(mesh):
     i along the other axes. beta is the closest to the standard coefficients
     such that int mu_i phi_j = c_i delta_ij with the standard c_i, and
     int mu_i d_k(I_h q) = c_i d_k q(x_i) for every quadratic q; see
-    `_class_weights`.
+    `_class_weights`. The strip's element ids are those of its cells,
+    each cell's in `mesh.cell_elements` order.
 
     With a single cell along some axis no dual is exact along it; such a
     mesh keeps the standard duals at every vertex.
     """
-    ne, nl = mesh.elements.shape
+    nl = mesh.elements.shape[1]
     n, d = mesh.n_vertices, mesh.dim
     cells = np.asarray(mesh.cells_per_axis)
     grid = np.stack(np.unravel_index(np.arange(n), cells + 1), axis=1)
@@ -203,14 +204,14 @@ def dual_basis(mesh):
         boundary[:] = False
     rows, elements = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
     weights = [np.zeros((0, nl))]
-    per_cell = ne // int(np.prod(cells))  # elements per grid cell
     code = np.ravel_multi_index(side.T, (3,) * d)
     table = _class_weights(mesh.kind, d)
     for cls in np.unique(code[boundary]):
         members = np.flatnonzero(code == cls)
         offsets, beta = table[cls]
         rows.append(np.repeat(members, len(beta)))
-        elements.append(_strip_elements(grid[members], offsets, cells, per_cell))
+        strips = grid[members][:, None, :] + offsets
+        elements.append(mesh.cell_elements(strips).ravel())
         weights.append(np.tile(beta, (len(members), 1)))
     return DualBasis(glued=~boundary, rows=np.concatenate(rows),
                      elements=np.concatenate(elements), weights=np.concatenate(weights))
@@ -225,10 +226,10 @@ def _class_weights(kind, dim):
     structured meshes are translation invariant and the conditions on beta
     are invariant under affine maps, so beta depends only on the class and
     is solved once, on a grid of three unit cells per axis. Returns
-    {code: (offsets (cells, d), beta (cells * elements per cell, n_loc))}.
+    {code: (offsets (cells, d), beta (cells * elements per cell, n_loc))},
+    the rows of beta in `mesh.cell_elements` order of the offset cells.
     """
     ref = build_structured_mesh(Domain(np.zeros(dim), np.full(dim, 3.0)), (3,) * dim, kind)
-    per_cell = ref.n_elements // 3 ** dim
     det_invj = ref.det_jacobians[:, None, None] * ref.inv_jacobians
     gram = _element_matrices(ref, "mu", "phi")
     grad = np.stack([
@@ -241,24 +242,13 @@ def _class_weights(kind, dim):
             continue
         grid = np.array([(0, 1, 3)[s] for s in sides])
         offsets = np.array(list(itertools.product(*(_STRIP_OFFSETS[s] for s in sides))))
-        strip = _strip_elements(grid[None], offsets, np.full(dim, 3), per_cell)
+        strip = ref.cell_elements(grid + offsets).ravel()
         vertex = int(np.ravel_multi_index(grid, (4,) * dim))
         beta = _strip_weights(ref, vertex, strip, gram[strip], grad[:, strip])
         offsets.setflags(write=False)
         beta.setflags(write=False)
         table[int(np.ravel_multi_index(sides, (3,) * dim))] = (offsets, beta)
     return table
-
-
-def _strip_elements(grid, offsets, cells, per_cell):
-    """Element ids of the strips of vertices at grid indices grid (m, d).
-
-    The elements of grid cell c are c * per_cell .. c * per_cell + per_cell - 1
-    (c flat in C order), as `mesh.build_structured_mesh` numbers them.
-    """
-    strip_cells = (grid[:, None, :] + offsets).reshape(-1, grid.shape[1])
-    flat = np.ravel_multi_index(strip_cells.T, cells)
-    return (flat[:, None] * per_cell + np.arange(per_cell)).ravel()
 
 
 def _strip_weights(mesh, vertex, strip, gram, grad):

@@ -1,10 +1,12 @@
 """Structured meshes of simplices or axis-aligned parallelotopes in 2D/3D.
 
-Meshes are built over an axis-aligned box domain by splitting a tensor grid
-of cells. Parallelotope meshes keep the grid cells; simplex meshes split
-each cell into 2 triangles (2D) or 6 tetrahedra (3D, Kuhn split). All
-element maps are affine: x = origin_T + J_T @ xhat, with xhat in the unit
-simplex or in (-1, 1)^d.
+A mesh is built only from a grid: an axis-aligned box domain split into a
+tensor grid of cells. Every cell is split the same way, by one cell
+pattern: parallelotope meshes keep the grid cells; simplex meshes split
+each cell into 2 triangles (2D) or 6 tetrahedra (3D, Kuhn split). Elements
+of the same pattern entry (type) are translates of each other, so the
+geometry is computed once per type. All element maps are affine:
+x = origin_T + J_T @ xhat, with xhat in the unit simplex or in (-1, 1)^d.
 
 Meshes are immutable after construction and safe to share across threads.
 """
@@ -14,15 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import make_element_pair
+from .elements import CELL_VOLUMES, make_element_pair
 from .errors import DataFormatError, OutOfDomainError
 
 KINDS = ("simplex", "parallelotope")
-
-# Kuhn split of the unit cube: one tet per permutation of the axes, walking
-# from corner 0 to corner 7; vertices are re-ordered where needed so every
-# affine map has positive determinant.
-_KUHN_PERMS = list(itertools.permutations(range(3)))
 
 
 @dataclass(frozen=True)
@@ -61,8 +58,39 @@ class Domain:
         return float(np.prod(self.extents))
 
 
+def _axis_orders(dim):
+    """Axis orders of the Kuhn simplices of a cell, in element order."""
+    return list(itertools.permutations(range(dim)))
+
+
+def _cell_pattern(kind, nodes):
+    """Corner offsets in {0, 1}^d of the elements of one grid cell.
+
+    Returns (elements per cell, n_loc, d) int. A parallelotope is the cell
+    itself, its corners in the order of the reference nodes. The simplices
+    walk from corner 0 to the far corner, one step along each axis in the
+    order of `_axis_orders`; where that walk has negative orientation,
+    vertices 1 and 2 are swapped.
+    """
+    d = nodes.shape[1]
+    if kind == "parallelotope":
+        return ((nodes[None] + 1) // 2).astype(np.int64)
+    steps = np.eye(d, dtype=np.int64)[_axis_orders(d)]
+    walks = np.concatenate([np.zeros((len(steps), 1, d), np.int64),
+                            np.cumsum(steps, axis=1)], axis=1)
+    flip = np.linalg.det(steps) < 0
+    swap = np.r_[0, 2, 1, 3:d + 1]
+    walks[flip] = walks[flip][:, swap]
+    return walks
+
+
 class Mesh:
-    """Conforming structured mesh with per-element affine geometry.
+    """Structured mesh of a grid over a box, with per-type affine geometry.
+
+    Cell c of the grid (flat in C order) owns the elements
+    c * per_cell .. c * per_cell + per_cell - 1, one per entry of the cell
+    pattern; `cell_elements` gives those ids. The per-element geometry
+    arrays index a table of the per_cell element types (1, 2 or 6).
 
     Attributes
     ----------
@@ -73,63 +101,63 @@ class Mesh:
         Reference cell name: 'triangle', 'tet', 'quad' or 'hex'.
     vertices : ndarray (n_vertices, dim)
     elements : ndarray (n_elements, n_loc) int
+    jacobians, inv_jacobians : ndarray (n_elements, dim, dim)
+    det_jacobians, volumes : ndarray (n_elements,)
+    element_origin : ndarray (n_elements, dim)
+        The image of the reference point 0.
     h : float
         Max element diameter: the diagonal of a grid cell, which every
         element of the grid spans (a cell, or a simplex holding its main
         diagonal).
     """
 
-    def __init__(self, domain, cells_per_axis, kind, vertices, elements):
+    def __init__(self, domain, cells_per_axis, kind):
         if kind not in KINDS:
             raise ValueError(f"unknown mesh kind {kind!r}")
+        cells = tuple(int(c) for c in cells_per_axis)
+        if len(cells) != domain.dim:
+            raise ValueError("cells_per_axis length must match domain dimension")
+        if any(c < 1 for c in cells):
+            raise ValueError(f"cells_per_axis must all be >= 1, got {cells}")
+        d = domain.dim
         self.domain = domain
-        self.cells_per_axis = tuple(int(c) for c in cells_per_axis)
-        self.h = float(np.linalg.norm(domain.extents / np.asarray(self.cells_per_axis)))
+        self.cells_per_axis = cells
         self.kind = kind
-        self.dim = domain.dim
-        self.cell_kind = _cell_kind(kind, self.dim)
-        self.vertices = np.ascontiguousarray(vertices, dtype=float)
-        self.elements = np.ascontiguousarray(elements, dtype=np.int64)
+        self.dim = d
+        self.cell_kind = _cell_kind(kind, d)
+        self._pair = make_element_pair(self.cell_kind)
+        width = domain.extents / np.asarray(cells)
+        self.h = float(np.linalg.norm(width))
+
+        shape = np.asarray(cells) + 1
+        axes = [np.linspace(domain.lower[k], domain.upper[k], shape[k]) for k in range(d)]
+        self.vertices = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+        pattern = _cell_pattern(kind, self._pair.nodes)
+        self._per_cell = len(pattern)
+        base = np.ravel_multi_index(np.indices(cells).reshape(d, -1), shape)
+        corner = np.ravel_multi_index(np.moveaxis(pattern, -1, 0), shape)
+        self.elements = (base[:, None, None] + corner).reshape(-1, pattern.shape[1])
         self.n_vertices = len(self.vertices)
         self.n_elements = len(self.elements)
-        if self.elements.ndim != 2 or (
-            self.n_elements and (self.elements.min() < 0
-                                 or self.elements.max() >= self.n_vertices)
-        ):
-            raise ValueError("element connectivity indexes nonexistent vertices")
-        self._pair = make_element_pair(self.cell_kind)
-        self._build_geometry()
-        self.vertices.setflags(write=False)
-        self.elements.setflags(write=False)
 
-    # -- construction helpers -------------------------------------------
-
-    def _build_geometry(self):
-        verts = self.vertices[self.elements]  # (ne, nl, d)
-        d = self.dim
-        if self.kind == "simplex":
-            origin = verts[:, 0, :]
-            jac = np.stack([verts[:, k + 1, :] - origin for k in range(d)], axis=2)
-            ref_vol = 1.0 / np.prod(np.arange(1, d + 1))
+        # J_t = diag(width) M_t, where xhat -> corner offsets is affine with
+        # linear part M_t: simplex column k is corner k+1 - corner 0; a
+        # parallelotope maps (-1, 1)^d onto the cell, M = I / 2.
+        if kind == "simplex":
+            unit = (pattern[:, 1:] - pattern[:, :1]).swapaxes(1, 2)
         else:
-            # parallelotope corners: affine map from (-1,1)^d
-            origin = verts.mean(axis=1)
-            axis_corner = [1, 3, 4]  # corners sharing an edge with corner 0
-            jac = np.stack(
-                [(verts[:, axis_corner[k], :] - verts[:, 0, :]) / 2.0 for k in range(d)],
-                axis=2,
-            )
-            ref_vol = 2.0 ** d
+            unit = np.eye(d)[None] / 2.0
+        jac = width[:, None] * unit
         det = np.linalg.det(jac)
-        if np.any(det <= 0):
-            raise ValueError("mesh contains an element with nonpositive volume")
-        self.element_origin = origin
-        self.jacobians = jac
-        self.inv_jacobians = np.linalg.inv(jac)
-        self.det_jacobians = det
-        self.volumes = det * ref_vol
-        for arr in (self.element_origin, self.jacobians, self.inv_jacobians,
-                    self.det_jacobians, self.volumes):
+        types = np.tile(np.arange(self._per_cell), len(base))
+        self.jacobians = jac[types]
+        self.inv_jacobians = np.linalg.inv(jac)[types]
+        self.det_jacobians = det[types]
+        self.volumes = (det * CELL_VOLUMES[self.cell_kind])[types]
+        self.element_origin = (self.vertices[self.elements[:, 0]]
+                               - (jac @ self._pair.nodes[0])[types])
+        for arr in (self.vertices, self.elements, self.element_origin, self.jacobians,
+                    self.inv_jacobians, self.det_jacobians, self.volumes):
             arr.setflags(write=False)
 
     # -- queries ---------------------------------------------------------
@@ -137,6 +165,16 @@ class Mesh:
     @property
     def element_pair(self):
         return self._pair
+
+    def cell_elements(self, cell_index):
+        """Element ids of the grid cells at multi-indices cell_index (..., d).
+
+        Returns (..., per_cell): the cell's elements in cell-pattern order.
+        """
+        first = self._per_cell * np.ravel_multi_index(
+            np.moveaxis(np.asarray(cell_index), -1, 0), self.cells_per_axis)
+        # summed with the cells on the last axis, which numpy loops over fastest
+        return np.moveaxis(np.add.outer(np.arange(self._per_cell), first), 0, -1)
 
     def map_to_physical(self, elem_ids, ref_points):
         """F_T(xhat) for per-point element ids; both arrays length m."""
@@ -177,84 +215,7 @@ def build_structured_mesh(domain, cells_per_axis, kind):
         'parallelotope' keeps the grid cells; 'simplex' splits every cell
         into 2 triangles (2D) or 6 tetrahedra (3D).
     """
-    cells = tuple(int(c) for c in cells_per_axis)
-    if len(cells) != domain.dim:
-        raise ValueError("cells_per_axis length must match domain dimension")
-    if any(c < 1 for c in cells):
-        raise ValueError(f"cells_per_axis must all be >= 1, got {cells}")
-    d = domain.dim
-    axes = [np.linspace(domain.lower[k], domain.upper[k], cells[k] + 1) for k in range(d)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    vertices = np.stack([g.ravel() for g in grids], axis=1)
-
-    nv = [cells[k] + 1 for k in range(d)]
-
-    def vid(idx):
-        # flat vertex id from d-index (ij indexing, x fastest-varying last)
-        out = idx[0]
-        for k in range(1, d):
-            out = out * nv[k] + idx[k]
-        return out
-
-    cell_ranges = [np.arange(c) for c in cells]
-    cgrid = np.meshgrid(*cell_ranges, indexing="ij")
-    cidx = np.stack([g.ravel() for g in cgrid], axis=1)  # (ncells, d)
-
-    if d == 2:
-        i, j = cidx[:, 0], cidx[:, 1]
-        v00 = vid((i, j))
-        v10 = vid((i + 1, j))
-        v11 = vid((i + 1, j + 1))
-        v01 = vid((i, j + 1))
-        if kind == "parallelotope":
-            elements = np.stack([v00, v10, v11, v01], axis=1)
-        else:
-            tri1 = np.stack([v00, v10, v11], axis=1)
-            tri2 = np.stack([v00, v11, v01], axis=1)
-            elements = np.empty((2 * len(cidx), 3), dtype=np.int64)
-            elements[0::2] = tri1
-            elements[1::2] = tri2
-    else:
-        i, j, k = cidx[:, 0], cidx[:, 1], cidx[:, 2]
-        corners = {}
-        for di, dj, dk in itertools.product((0, 1), repeat=3):
-            corners[(di, dj, dk)] = vid((i + di, j + dj, k + dk))
-        if kind == "parallelotope":
-            elements = np.stack(
-                [
-                    corners[0, 0, 0], corners[1, 0, 0], corners[1, 1, 0], corners[0, 1, 0],
-                    corners[0, 0, 1], corners[1, 0, 1], corners[1, 1, 1], corners[0, 1, 1],
-                ],
-                axis=1,
-            )
-        else:
-            tets = []
-            for perm in _KUHN_PERMS:
-                walk = [(0, 0, 0)]
-                cur = [0, 0, 0]
-                for axis in perm:
-                    cur = cur.copy()
-                    cur[axis] += 1
-                    walk.append(tuple(cur))
-                # odd permutations give a negative determinant; swap to fix
-                sign = _perm_sign(perm)
-                if sign < 0:
-                    walk[1], walk[2] = walk[2], walk[1]
-                tets.append(np.stack([corners[w] for w in walk], axis=1))
-            elements = np.empty((6 * len(cidx), 4), dtype=np.int64)
-            for t, tet in enumerate(tets):
-                elements[t::6] = tet
-    return Mesh(domain, cells, kind, vertices, elements)
-
-
-def _perm_sign(perm):
-    sign = 1
-    p = list(perm)
-    for a in range(len(p)):
-        for b in range(a + 1, len(p)):
-            if p[a] > p[b]:
-                sign = -sign
-    return sign
+    return Mesh(domain, cells_per_axis, kind)
 
 
 def refine_uniform(mesh):
@@ -307,25 +268,17 @@ def locate_points(mesh, points):
     # coordinates y, a parallelotope's are 2 y - 1.
     cell_tol = _REF_TOL if mesh.kind == "simplex" else _REF_TOL / 2.0
     cell = np.clip(np.ceil(frac - cell_tol).astype(np.int64) - 1, 0, cells - 1)
-    eids = _flat_cell(mesh, cell)
+    sub = np.zeros(len(pts), dtype=np.int64)
     if mesh.kind == "simplex":
         # A cell's simplices, in element order, hold y_p0 >= y_p1 >= ... for
-        # the axis orders p of permutations(range(d)) (_KUHN_PERMS in 3D).
-        # The descending order of y always holds, so argmax finds one.
+        # the axis orders p of _axis_orders. The descending order of y
+        # always holds, so argmax finds one.
         y = frac - cell
-        perms = list(itertools.permutations(range(mesh.dim)))
         holds = np.stack([(y[:, p[:-1]] - y[:, p[1:]] >= -cell_tol).all(axis=1)
-                          for p in perms], axis=1)
-        eids = eids * len(perms) + np.argmax(holds, axis=1)
+                          for p in _axis_orders(mesh.dim)], axis=1)
+        sub = np.argmax(holds, axis=1)
+    eids = mesh.cell_elements(cell)[np.arange(len(pts)), sub]
     return eids, mesh.map_to_reference(eids, pts)
-
-
-def _flat_cell(mesh, cidx):
-    cells = mesh.cells_per_axis
-    out = cidx[..., 0]
-    for k in range(1, mesh.dim):
-        out = out * cells[k] + cidx[..., k]
-    return out
 
 
 # -- persistence -----------------------------------------------------------

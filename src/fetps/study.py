@@ -55,6 +55,10 @@ class StudyConfig:
         unknown = set(self.columns) - set(ALL_COLUMNS)
         if unknown:
             raise ValueError(f"unknown study columns: {sorted(unknown)}")
+        if "fit_energy" in self.columns and self.n_data < self.domain.dim + 1:
+            raise ValueError(
+                f"fit_energy needs n_data >= {self.domain.dim + 1}, got {self.n_data}"
+            )
 
 
 @dataclass
@@ -90,7 +94,13 @@ def quasi_projection_errors(mesh, fld, degree=STUDY_QUAD_DEGREE):
 
 
 def sample_scattered(fld, domain, n, seed, noise=0.0):
-    """Seeded uniform sites in the domain with field values (plus noise)."""
+    """Seeded uniform sites in the domain with field values (plus noise).
+
+    noise is the standard deviation of the added Gaussian noise; it must be
+    finite and >= 0 (ValueError otherwise).
+    """
+    if not (np.isfinite(noise) and noise >= 0):
+        raise ValueError(f"noise must be finite and >= 0, got {noise}")
     rng = np.random.default_rng(seed)
     pts = rng.uniform(domain.lower, domain.upper, size=(n, domain.dim))
     vals = np.asarray(fld.value(pts), dtype=float)

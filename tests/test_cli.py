@@ -64,6 +64,18 @@ def test_synth_unknown_field(capsys, tmp_path):
     assert payload["error"]["type"] == "input"
 
 
+@pytest.mark.parametrize("noise", ["-1", "nan", "inf"])
+def test_synth_rejects_negative_or_non_finite_noise(capsys, tmp_path, noise):
+    out = tmp_path / "noisy.csv"
+    code, payload, _ = run_cli(
+        capsys, "synth", "--field", "franke", "--domain", "0,0,1,1",
+        "--n", "20", "--noise", noise, "--out", str(out),
+    )
+    assert code == 2
+    assert payload["error"]["type"] == "input"
+    assert not out.exists()
+
+
 def test_fit_eval_pipeline(capsys, tmp_path):
     pts, _ = synth(capsys, tmp_path, n=150, seed=3)
     model = tmp_path / "model.json"
@@ -354,6 +366,20 @@ def test_study_rejects_non_finite_alpha(capsys, alpha):
     )
     assert code == 2
     assert payload["error"]["type"] == "input"
+
+
+@pytest.mark.parametrize("n_data", ["0", "2"])
+def test_study_rejects_too_few_data_before_any_level(capsys, tmp_path, n_data):
+    out_csv = tmp_path / "study.csv"
+    code, payload, _ = run_cli(
+        capsys, "study", "--field", "linear", "--domain", "0,0,1,1",
+        "--levels", "3", "--base-cells", "2", "--n-data", n_data,
+        "--out-csv", str(out_csv),
+    )
+    assert code == 2
+    assert payload["error"]["type"] == "input"
+    assert "rows" not in payload
+    assert not out_csv.exists()
 
 
 def test_domain_parse_errors(capsys, tmp_path):

@@ -66,6 +66,35 @@ def test_kuhn_split_volumes(unit_cube):
     assert (mesh.det_jacobians > 0).all()
 
 
+# Model files store only the grid and the smallest-id tie-break of
+# locate_points follows the element order, so the layout is fixed here.
+@pytest.mark.parametrize("kind,cells,elements", [
+    ("simplex", (2, 1), [[0, 2, 3], [0, 3, 1], [2, 4, 5], [2, 5, 3]]),
+    ("simplex", (1, 1, 1), [[0, 4, 6, 7], [0, 5, 4, 7], [0, 6, 2, 7],
+                            [0, 2, 3, 7], [0, 1, 5, 7], [0, 3, 1, 7]]),
+    ("parallelotope", (2, 1), [[0, 2, 3, 1], [2, 4, 5, 3]]),
+    ("parallelotope", (1, 1, 1), [[0, 4, 6, 2, 1, 5, 7, 3]]),
+])
+def test_element_layout_is_pinned(kind, cells, elements):
+    dim = len(cells)
+    mesh = build_structured_mesh(Domain(np.zeros(dim), np.ones(dim)), cells, kind)
+    assert mesh.elements.tolist() == elements
+    # cell c (flat in C order) owns the consecutive ids c * per_cell, ...
+    every_cell = np.indices(cells).reshape(dim, -1).T
+    assert np.array_equal(mesh.cell_elements(every_cell).ravel(), np.arange(len(elements)))
+
+
+@pytest.mark.parametrize("kind,box", SMALL_MESHES)
+def test_per_type_geometry_matches_connectivity(kind, box):
+    mesh = small_mesh(kind, box)
+    nodes = mesh.element_pair.nodes
+    extent = float(mesh.domain.extents.max())
+    for e in range(mesh.n_elements):
+        mapped = mesh.map_to_physical(np.full(len(nodes), e), nodes)
+        assert np.abs(mapped - mesh.vertices[mesh.elements[e]]).max() <= 1e-14 * extent
+    assert (mesh.det_jacobians > 0).all()
+
+
 def test_rejects_zero_cells(unit_square):
     with pytest.raises(ValueError):
         build_structured_mesh(unit_square, (0, 3), "simplex")

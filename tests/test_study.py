@@ -42,6 +42,14 @@ def test_study_config_validation(unit_square):
         StudyConfig(field="linear", domain=unit_square, levels=3, columns=("bogus",))
 
 
+def test_study_config_rejects_too_few_data_for_fit_energy(unit_square):
+    with pytest.raises(ValueError, match="n_data"):
+        StudyConfig(field="linear", domain=unit_square, levels=3, n_data=2)
+    # without the fit column the data are never sampled
+    StudyConfig(field="linear", domain=unit_square, levels=3, n_data=0,
+                columns=("qh_l2",))
+
+
 def test_estimate_orders():
     assert estimate_orders([1.0, 0.25, 0.0625]) == [None, 2.0, 2.0]
     assert estimate_orders([None, 1.0, 0.5])[2] == pytest.approx(1.0)
