@@ -30,9 +30,15 @@ cells, two deep along each boundary normal, so that it stays biorthogonal
 with the same Gram diagonal and recovers the gradient of every quadratic
 exactly (in the spirit of Lamichhane & Wohlmuth, Math. Comp. 2007). Its
 rows of B therefore reach two cells inward, outside the mass pattern. A
-mesh with a single cell along some axis keeps the standard duals. The
-local blocks of a dual test are scattered through the `DualBasis`
-weights.
+mesh with a single cell along some axis keeps the standard duals.
+
+Every block is one sparse product, glue @ L. The element rows L, an
+(E n_loc) x n matrix, hold row a of element e's local block at the columns
+of its vertices. The glue, n x (E n_loc), sums element rows into global
+test functions: the nodal glue (a 1 per element node) for the nodal tests
+of K, mass and W_k, the dual glue of `dual_basis` for the dual tests of
+B_k and the Gram matrix. A vector of element moments goes through the
+same glue.
 """
 
 import functools
@@ -118,59 +124,27 @@ def _element_matrices(mesh, test, trial, geometry=None):
     return flat.reshape(-1, nl, nl)
 
 
-def _scatter(mesh, local, dual=None):
-    """COO-accumulate (e, a, b) local matrices into a CSR matrix.
+def _rows(cols, vals, n_cols):
+    """CSR matrix whose row i holds vals[i] at the columns cols[i].
 
-    Column b goes to vertex elements[e, b]. Row a goes to vertex
-    elements[e, a]; for a `DualBasis` test, rows of the vertices whose dual
-    is not glued come from its weighted element combinations instead.
+    Every row has the same number of entries, so indptr is a range: the
+    matrix is built directly, with no sort and no duplicate pass.
     """
-    elems = mesh.elements
-    nl = elems.shape[1]
-    rows = elems.ravel()
-    if dual is None:
-        cols = np.repeat(elems, nl, axis=0)
-        vals = local.reshape(-1, nl)
-    else:
-        keep = np.flatnonzero(dual.glued[rows])
-        rows = np.concatenate([rows[keep], dual.rows])
-        cols = np.concatenate([elems.take(keep // nl, axis=0), elems[dual.elements]])
-        vals = np.concatenate([
-            local.reshape(-1, nl).take(keep, axis=0),
-            np.einsum("sa,sab->sb", dual.weights, local[dual.elements]),
-        ])
-    mat = sp.coo_matrix(
-        (vals.ravel(), (np.repeat(rows, nl), cols.ravel())),
-        shape=(mesh.n_vertices, mesh.n_vertices),
-    ).tocsr()
-    mat.sum_duplicates()
-    return mat
+    m, k = cols.shape
+    return sp.csr_matrix((np.ravel(vals), cols.ravel(), np.arange(0, m * k + 1, k)),
+                         shape=(m, n_cols))
 
 
-@dataclass(frozen=True)
-class DualBasis:
-    """Global dual functions as combinations of element duals.
+def _element_rows(mesh, local):
+    """Element rows L, (E n_loc) x n: row (e, a) holds local[e, a, :] at elements[e]."""
+    nl = mesh.elements.shape[1]
+    return _rows(np.repeat(mesh.elements, nl, axis=0), local, mesh.n_vertices)
 
-    mu_a^e is the element dual of local node a on element e (zero off e).
-    The dual of a vertex with glued[i] is the sum of mu_a^e over the
-    elements e around it, with elements[e, a] = i. Entry s of the other
-    arrays adds sum_a weights[s, a] mu_a^e, e = elements[s], to the dual of
-    vertex rows[s].
-    """
 
-    glued: np.ndarray
-    rows: np.ndarray
-    elements: np.ndarray
-    weights: np.ndarray
-
-    def moments(self, mesh, local):
-        """Dual moments int mu_i v from element moments local[e, a] = int mu_a^e v."""
-        n = mesh.n_vertices
-        owner = mesh.elements.ravel()
-        keep = self.glued[owner]
-        combined = (self.weights * local[self.elements]).sum(axis=1)
-        return (np.bincount(owner[keep], weights=local.ravel()[keep], minlength=n)
-                + np.bincount(self.rows, weights=combined, minlength=n))
+def _nodal_glue(mesh):
+    """Nodal glue, n x (E n_loc): a 1 at (elements[e, a], e n_loc + a)."""
+    owner = mesh.elements.reshape(-1, 1)
+    return _rows(owner, np.ones(len(owner)), mesh.n_vertices).T.tocsr()
 
 
 # Cells of a boundary vertex's strip along one axis, as offsets from its grid
@@ -179,42 +153,50 @@ _STRIP_OFFSETS = ((0, 1), (-1, 0), (-1, -2))
 
 
 def dual_basis(mesh):
-    """The dual basis of the mesh: element duals glued, modified at the boundary.
+    """The dual glue C of the mesh: element duals glued, modified at the boundary.
 
-    An interior vertex keeps the standard dual, the sum of the element duals
-    of its node over the elements around it. A boundary vertex i gets
-    mu_i = sum over its strip S_i of beta_{T,a} mu_a^T, where S_i holds the
-    two cells inward of i along each boundary normal and the cells touching
-    i along the other axes. beta is the closest to the standard coefficients
-    such that int mu_i phi_j = c_i delta_ij with the standard c_i, and
-    int mu_i d_k(I_h q) = c_i d_k q(x_i) for every quadratic q; see
-    `_class_weights`. The strip's element ids are those of its cells,
-    each cell's in `mesh.cell_elements` order.
+    C is n x (E n_loc); row i holds the weights of the dual mu_i over the
+    element duals, column e n_loc + a standing for mu_a^e, the element dual
+    of local node a on element e (zero off e). An interior vertex keeps the
+    standard dual, the sum of the element duals of its node over the
+    elements around it: its row is that of the nodal glue. A boundary
+    vertex i gets mu_i = sum over its strip S_i of beta_{T,a} mu_a^T, where
+    S_i holds the two cells inward of i along each boundary normal and the
+    cells touching i along the other axes. beta is the closest to the
+    standard coefficients such that int mu_i phi_j = c_i delta_ij with the
+    standard c_i, and int mu_i d_k(I_h q) = c_i d_k q(x_i) for every
+    quadratic q; see `_class_weights`. The strip's element ids are those of
+    its cells, each cell's in `mesh.cell_elements` order.
 
     With a single cell along some axis no dual is exact along it; such a
     mesh keeps the standard duals at every vertex.
     """
+    cells = np.asarray(mesh.cells_per_axis)
+    if cells.min() < 2:
+        return _nodal_glue(mesh)
     nl = mesh.elements.shape[1]
     n, d = mesh.n_vertices, mesh.dim
-    cells = np.asarray(mesh.cells_per_axis)
     grid = np.stack(np.unravel_index(np.arange(n), cells + 1), axis=1)
     side = (grid > 0).astype(np.int64) + (grid == cells)
     boundary = (side != 1).any(axis=1)
-    if cells.min() < 2:
-        boundary[:] = False
-    rows, elements = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
-    weights = [np.zeros((0, nl))]
+    owner = mesh.elements.ravel()
+    glued = np.flatnonzero(~boundary[owner])
+    rows, cols, vals = [owner[glued]], [glued], [np.ones(len(glued))]
     code = np.ravel_multi_index(side.T, (3,) * d)
     table = _class_weights(mesh.kind, d)
     for cls in np.unique(code[boundary]):
         members = np.flatnonzero(code == cls)
         offsets, beta = table[cls]
-        rows.append(np.repeat(members, len(beta)))
-        strips = grid[members][:, None, :] + offsets
-        elements.append(mesh.cell_elements(strips).ravel())
-        weights.append(np.tile(beta, (len(members), 1)))
-    return DualBasis(glued=~boundary, rows=np.concatenate(rows),
-                     elements=np.concatenate(elements), weights=np.concatenate(weights))
+        strips = mesh.cell_elements(grid[members][:, None, :] + offsets)
+        rows.append(np.repeat(members, beta.size))
+        cols.append((strips.reshape(len(members), -1, 1) * nl + np.arange(nl)).ravel())
+        vals.append(np.tile(beta.ravel(), len(members)))
+    # group the entries by row; within a row they keep the order listed
+    rows = np.concatenate(rows)
+    order = np.argsort(rows, kind="stable")
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    return sp.csr_matrix((np.concatenate(vals)[order], np.concatenate(cols)[order], indptr),
+                         shape=(n, len(owner)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -301,12 +283,13 @@ def assemble_stiffness(mesh):
     """Scalar stiffness matrix; symmetric, constants in the kernel."""
     invj = mesh.inv_jacobians
     geometry = mesh.det_jacobians[:, None, None] * (invj @ invj.transpose(0, 2, 1))
-    return _scatter(mesh, _element_matrices(mesh, "grad", "grad", geometry))
+    local = _element_matrices(mesh, "grad", "grad", geometry)
+    return _nodal_glue(mesh) @ _element_rows(mesh, local)
 
 
 def assemble_mass(mesh):
     """Scalar mass matrix of the nodal basis."""
-    return _scatter(mesh, _element_matrices(mesh, "phi", "phi"))
+    return _nodal_glue(mesh) @ _element_rows(mesh, _element_matrices(mesh, "phi", "phi"))
 
 
 def assemble_gram_full(mesh):
@@ -315,7 +298,7 @@ def assemble_gram_full(mesh):
     Diagonal by construction of the bases; assembled in full only to verify
     that.
     """
-    return _scatter(mesh, _element_matrices(mesh, "mu", "phi"), dual_basis(mesh))
+    return dual_basis(mesh) @ _element_rows(mesh, _element_matrices(mesh, "mu", "phi"))
 
 
 def assemble_gram_diagonal(mesh):
@@ -325,7 +308,7 @@ def assemble_gram_diagonal(mesh):
     for a biorthogonal pair (`assemble_gram_full` gives the whole coupling).
     """
     local = _element_matrices(mesh, "mu", "phi").sum(axis=2)
-    diag = dual_basis(mesh).moments(mesh, local)
+    diag = dual_basis(mesh) @ local.ravel()
     if np.any(diag <= 0):
         raise BiorthogonalityError("nonpositive Gram diagonal entry")
     return diag
@@ -340,11 +323,11 @@ def assemble_grad_coupling(mesh, test="dual"):
     """
     if test not in ("dual", "primal"):
         raise ValueError(f"test must be 'dual' or 'primal', got {test!r}")
-    basis, dual = ("mu", dual_basis(mesh)) if test == "dual" else ("phi", None)
+    basis, glue = ("mu", dual_basis(mesh)) if test == "dual" else ("phi", _nodal_glue(mesh))
     # d_k phi_j = dphi_j/dxhat_m (J^-1)[m, k]
     det_invj = mesh.det_jacobians[:, None, None] * mesh.inv_jacobians
     return tuple(
-        _scatter(mesh, _element_matrices(mesh, basis, "grad", det_invj[:, :, k]), dual)
+        glue @ _element_rows(mesh, _element_matrices(mesh, basis, "grad", det_invj[:, :, k]))
         for k in range(mesh.dim)
     )
 
@@ -352,24 +335,16 @@ def assemble_grad_coupling(mesh, test="dual"):
 def evaluation_matrix(mesh, points):
     """Sparse N x n matrix of nodal basis values at the given points.
 
-    Row i holds the basis values of the element containing x_i, so
-    (P u)_i = u_h(x_i). Accepts a ScatteredData or a raw point array.
-    Points on element interfaces use the smallest containing element id,
-    which fixes the assembly deterministically.
+    Row i holds the basis values of the element containing x_i at that
+    element's vertices, so (P u)_i = u_h(x_i). Accepts a ScatteredData or a
+    raw point array. Points on element interfaces use the smallest
+    containing element id, which fixes the assembly deterministically.
     """
     if isinstance(points, ScatteredData):
         points = points.points
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     eids, refs = locate_points(mesh, pts)
-    vals = mesh.element_pair.nodal_eval(refs)  # (N, nl)
-    cols = mesh.elements[eids]
-    nl = cols.shape[1]
-    rows = np.repeat(np.arange(len(pts)), nl)
-    mat = sp.coo_matrix(
-        (vals.ravel(), (rows, cols.ravel())), shape=(len(pts), mesh.n_vertices)
-    ).tocsr()
-    mat.sum_duplicates()
-    return mat
+    return _rows(mesh.elements[eids], mesh.element_pair.nodal_eval(refs), mesh.n_vertices)
 
 
 def assemble_data_term(P, z):

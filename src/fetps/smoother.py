@@ -143,15 +143,26 @@ class Smoother:
             diag = data.get("diagnostics", {})
             if not isinstance(diag, dict):
                 raise DataFormatError("smoother diagnostics must be a JSON object")
+            alpha = data["alpha"]
+            iterations = diag.get("iterations", 0)
+            residual = diag.get("residual", 0.0)
+            if not (_finite_number(alpha) and alpha > 0):
+                raise DataFormatError(f"smoother alpha must be a finite number > 0, got {alpha!r}")
+            if type(iterations) is not int or iterations < 0:
+                raise DataFormatError(
+                    f"smoother iterations must be an integer >= 0, got {iterations!r}")
+            if not (_finite_number(residual) and residual >= 0):
+                raise DataFormatError(
+                    f"smoother residual must be a finite number >= 0, got {residual!r}")
             return cls(
                 mesh=build_structured_mesh(domain, cells, kind),
                 **fields,
                 phi=None,
-                alpha=float(data["alpha"]),
-                iterations=diag.get("iterations", 0),
-                residual=diag.get("residual", 0.0),
+                alpha=alpha,
+                iterations=iterations,
+                residual=residual,
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             if isinstance(exc, DataFormatError):
                 raise
             raise DataFormatError(f"invalid smoother description: {exc}") from exc
@@ -164,6 +175,11 @@ class Smoother:
             except json.JSONDecodeError as exc:
                 raise DataFormatError(f"invalid smoother JSON: {exc}") from exc
         return cls.from_dict(data)
+
+
+def _finite_number(value):
+    """True for a finite JSON number: an int or a float, not a bool."""
+    return type(value) in (int, float) and math.isfinite(value)
 
 
 def fit(data, mesh, cfg, solver=None):
@@ -293,8 +309,7 @@ def quasi_project(mesh, v, degree=5):
     rule, points, weights = element_quadrature(mesh, degree)
     vals = np.asarray(v(points.reshape(-1, mesh.dim)), dtype=float)
     local = (weights * vals.reshape(weights.shape)) @ mesh.element_pair.dual_eval(rule.points)
-    moments = dual_basis(mesh).moments(mesh, local)
-    return moments / assemble_gram_diagonal(mesh)
+    return (dual_basis(mesh) @ local.ravel()) / assemble_gram_diagonal(mesh)
 
 
 def quasi_project_gradient(mesh, coeffs):

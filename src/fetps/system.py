@@ -183,9 +183,10 @@ def solve_reduced(op, f, cfg=None, return_stats=False):
         if rel <= cfg.rtol or total >= max_iter:
             break
         res = f - op.apply(x)
-        delta, used, _ = _pcg(
-            S, res, minv, 0.05 * np.linalg.norm(res), max_iter - total
-        )
+        # a twentieth of the residual, but no tighter than half of rtol: a
+        # residual just above rtol needs only a small reduction
+        target = max(0.05 * np.linalg.norm(res), 0.5 * abs_tol)
+        delta, used, _ = _pcg(S, res, minv, target, max_iter - total)
         total += used
         candidate = x + delta
         new_rel = np.linalg.norm(f - op.apply(candidate)) / fnorm

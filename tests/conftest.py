@@ -96,10 +96,10 @@ def brute_force_matrix(mesh, kernel, degree=4, dual=None):
     """Dense assembly oracle: direct quadrature, plain Python element loop.
 
     kernel(i, j, xq, phi, grad, mu) -> integrand values at the quadrature
-    points of one element, for local trial j and test i. With a DualBasis
-    `dual`, the test functions are its global duals: the integral for
-    local test i on element e goes, times each weight, to every row whose
-    dual contains that element dual.
+    points of one element, for local trial j and test i. With a dual glue
+    `dual` (the matrix of `dual_basis`), the test functions are its global
+    duals: the integral for local test i on element e goes, times each
+    weight, to every row of column e * n_loc + i of `dual`.
     """
     pair = mesh.element_pair
     rule = quadrature(mesh.cell_kind, degree)
@@ -109,15 +109,18 @@ def brute_force_matrix(mesh, kernel, degree=4, dual=None):
     dphi = pair.nodal_grad(rule.points)
     mu = pair.dual_eval(rule.points)
     # (element, local test) -> [(row, weight)]
-    test_rows = {}
-    for e, conn in enumerate(mesh.elements):
-        for i, v in enumerate(conn):
-            if dual is None or dual.glued[v]:
-                test_rows[e, i] = [(int(v), 1.0)]
-    if dual is not None:
-        for row, e, weights in zip(dual.rows, dual.elements, dual.weights):
-            for i, weight in enumerate(weights):
-                test_rows.setdefault((int(e), i), []).append((int(row), float(weight)))
+    if dual is None:
+        test_rows = {(e, i): [(int(v), 1.0)]
+                     for e, conn in enumerate(mesh.elements) for i, v in enumerate(conn)}
+    else:
+        cols = sp.csc_matrix(dual)
+        test_rows = {}
+        for col in range(cols.shape[1]):
+            span = slice(cols.indptr[col], cols.indptr[col + 1])
+            test_rows[divmod(col, pair.n_loc)] = [
+                (int(row), float(weight))
+                for row, weight in zip(cols.indices[span], cols.data[span])
+            ]
     for e in range(mesh.n_elements):
         det = mesh.det_jacobians[e]
         invj = mesh.inv_jacobians[e]

@@ -31,7 +31,7 @@ from fetps.assembly import (
     evaluation_matrix,
 )
 from fetps.errors import OutOfDomainError
-from fetps.mesh import Domain, build_structured_mesh, refine_uniform
+from fetps.mesh import Domain, build_structured_mesh, locate_points, refine_uniform
 from fetps.smoother import lagrange_interpolate
 
 
@@ -62,11 +62,10 @@ def test_gram_matches_brute_force(kind, cells):
 
 @pytest.mark.parametrize("kind,cells", SMALL_MESHES)
 def test_grad_couplings_match_brute_force(kind, cells):
-    # with two or more cells per axis the boundary duals are the modified
-    # ones, integrated here element dual by element dual; a single-cell axis
-    # keeps the standard duals
+    # the oracle integrates each dual element dual by element dual, with the
+    # weights of `dual_basis`
     mesh = small_mesh(kind, cells)
-    dual = dual_basis(mesh) if min(cells.cells) >= 2 else None
+    dual = dual_basis(mesh)
     B = assemble_grad_coupling(mesh, test="dual")
     W = assemble_grad_coupling(mesh, test="primal")
     for k in range(mesh.dim):
@@ -220,6 +219,12 @@ def strip_vertices(mesh, v):
     return {int(np.ravel_multi_index(t, cells + 1)) for t in itertools.product(*axes)}
 
 
+def on_boundary(mesh, cells):
+    """Vertices on the boundary of the box, from their grid indices."""
+    grid = np.stack(np.unravel_index(np.arange(mesh.n_vertices), np.asarray(cells) + 1), axis=1)
+    return ((grid == 0) | (grid == cells)).any(axis=1)
+
+
 @pytest.mark.parametrize("kind,cells", SMALL_MESHES)
 def test_dual_and_primal_tests_share_support(kind, cells):
     # primal tests and interior duals live on the support of their nodal
@@ -229,10 +234,7 @@ def test_dual_and_primal_tests_share_support(kind, cells):
     B = assemble_grad_coupling(mesh, "dual")
     W = assemble_grad_coupling(mesh, "primal")
     pm = set(zip(*assemble_mass(mesh).nonzero()))
-    grid = np.stack(np.unravel_index(np.arange(mesh.n_vertices),
-                                     np.asarray(cells.cells) + 1), axis=1)
-    on_boundary = ((grid == 0) | (grid == cells.cells)).any(axis=1)
-    modified = on_boundary & (min(cells.cells) >= 2)
+    modified = on_boundary(mesh, cells.cells) & (min(cells.cells) >= 2)
     beyond_mass = False
     for k in range(mesh.dim):
         # entries can vanish by quadrature cancellation, so patterns are
@@ -245,6 +247,43 @@ def test_dual_and_primal_tests_share_support(kind, cells):
                 assert j in strip_vertices(mesh, i), (i, j)
                 beyond_mass |= (i, j) not in pm
     assert beyond_mass == modified.any()
+
+
+def nodal_glue(mesh):
+    """n x (E n_loc) matrix with a 1 at (elements[e, a], e n_loc + a)."""
+    out = np.zeros((mesh.n_vertices, mesh.elements.size))
+    out[mesh.elements.ravel(), np.arange(mesh.elements.size)] = 1.0
+    return out
+
+
+@pytest.mark.parametrize("kind,cells", SMALL_MESHES + [
+    ("simplex", Box((2, 2, 2))), ("parallelotope", Box((3, 3, 2))),
+])
+def test_dual_basis_is_the_nodal_glue_off_the_boundary(kind, cells):
+    # an interior dual is the sum of the element duals of its node; with a
+    # single cell along some axis every dual is
+    mesh = small_mesh(kind, cells)
+    C = dual_basis(mesh).toarray()
+    assert C.shape == (mesh.n_vertices, mesh.elements.size)
+    standard = ~on_boundary(mesh, cells.cells) | (min(cells.cells) < 2)
+    assert np.array_equal(C[standard], nodal_glue(mesh)[standard])
+    # every boundary dual is modified
+    assert (C[~standard] != nodal_glue(mesh)[~standard]).any(axis=1).all()
+
+
+@pytest.mark.parametrize("kind", ["simplex", "parallelotope"])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_evaluation_matrix_stores_one_entry_per_element_vertex(kind, dim, rng):
+    mesh = build_structured_mesh(Domain(np.zeros(dim), np.ones(dim)), (3,) * dim, kind)
+    # interior points, vertices (basis values 0 and 1) and a face point
+    pts = np.vstack([rng.uniform(0.0, 1.0, (30, dim)), mesh.vertices[[0, 5]],
+                     np.full((1, dim), 1.0 / 3.0)])
+    P = evaluation_matrix(mesh, pts)
+    eids, _ = locate_points(mesh, pts)
+    nl = mesh.elements.shape[1]
+    assert P.nnz == nl * len(pts)
+    assert np.array_equal(np.diff(P.indptr), np.full(len(pts), nl))
+    assert np.array_equal(P.indices.reshape(-1, nl), mesh.elements[eids])
 
 
 def test_evaluation_matrix_rows(unit_square, rng):

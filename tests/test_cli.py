@@ -290,6 +290,22 @@ def eval_model_file(capsys, tmp_path, text):
                    "--out", str(tmp_path / "o.csv"))
 
 
+def test_eval_model_with_infinite_iterations(capsys, tmp_path):
+    pts, _ = synth(capsys, tmp_path, n=40, seed=5)
+    model = tmp_path / "fitted.json"
+    code, *_ = run_cli(
+        capsys, "fit", "--input", str(pts), "--domain", "0,0,1,1",
+        "--cells", "6,6", "--alpha", "1e-2", "--out", str(model),
+    )
+    assert code == 0
+    data = json.loads(model.read_text())
+    data["diagnostics"]["iterations"] = float("inf")  # written as Infinity
+    code, payload, err = eval_model_file(capsys, tmp_path, json.dumps(data))
+    assert code == 2
+    assert payload["error"]["type"] == "input"
+    assert "Traceback" not in err
+
+
 def test_eval_model_not_an_object(capsys, tmp_path):
     code, payload, _ = eval_model_file(capsys, tmp_path, "[1, 2]")
     assert code == 2

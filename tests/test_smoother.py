@@ -503,6 +503,21 @@ def test_fit_is_linear_in_z_across_scales(franke_fit, k):
     pytest.param("mesh", lambda m: {**m, "kind": "prism"}, id="mesh-bad-kind"),
     pytest.param("u", lambda a: [float("nan")] + a[1:], id="u-nan"),
     pytest.param("sigma", lambda a: [[float("inf")] + a[0][1:]] + a[1:], id="sigma-inf"),
+    pytest.param("alpha", lambda a: float("nan"), id="alpha-nan"),
+    pytest.param("alpha", lambda a: float("inf"), id="alpha-inf"),
+    pytest.param("alpha", lambda a: -1.0, id="alpha-negative"),
+    pytest.param("alpha", lambda a: 0, id="alpha-zero"),
+    pytest.param("alpha", lambda a: True, id="alpha-bool"),
+    pytest.param("alpha", lambda a: "1e-3", id="alpha-string"),
+    pytest.param("alpha", lambda a: 10 ** 400, id="alpha-huge-int"),
+    pytest.param("diagnostics", lambda d: {**d, "iterations": float("inf")},
+                 id="iterations-inf"),
+    pytest.param("diagnostics", lambda d: {**d, "iterations": -1}, id="iterations-negative"),
+    pytest.param("diagnostics", lambda d: {**d, "iterations": 3.5}, id="iterations-float"),
+    pytest.param("diagnostics", lambda d: {**d, "iterations": True}, id="iterations-bool"),
+    pytest.param("diagnostics", lambda d: {**d, "residual": float("nan")}, id="residual-nan"),
+    pytest.param("diagnostics", lambda d: {**d, "residual": -1e-3}, id="residual-negative"),
+    pytest.param("diagnostics", lambda d: {**d, "residual": "0"}, id="residual-string"),
 ])
 def test_smoother_load_rejects_inconsistent_coefficients(franke_fit, name, mutate):
     data = json.loads(json.dumps(franke_fit[3].to_dict()))

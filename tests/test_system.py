@@ -15,7 +15,13 @@ from fetps.assembly import ScatteredData, assemble_system
 from fetps.errors import NoConvergenceError, SingularSystemError
 from fetps.mesh import build_structured_mesh
 from fetps.smoother import lagrange_interpolate
-from fetps.system import SolverConfig, condense, recover_auxiliary, solve_reduced
+from fetps.system import (
+    ReducedOperator,
+    SolverConfig,
+    condense,
+    recover_auxiliary,
+    solve_reduced,
+)
 
 ALPHAS = (1e-4, 1e-2, 1.0)
 
@@ -155,6 +161,26 @@ def test_solve_reduced_matches_dense_solve(small_system):
         u = solve_reduced(op, blocks.f, SolverConfig(rtol=1e-13))
         dense = np.linalg.solve(op.matrix.toarray(), blocks.f)
         assert np.linalg.norm(u - dense) <= 1e-8 * np.linalg.norm(dense)
+
+
+def test_solve_reduced_polish_just_above_rtol():
+    # S is the 2D five-point Laplacian and f one of its eigenvectors, so CG
+    # ends after one step with a residual at rounding level. `apply` is S
+    # minus a fixed g with |g| = 1.5 rtol |f|: the composition residual after
+    # CG is g, just above rtol. Reducing it below rtol takes a few
+    # iterations; asking for a twentieth of it takes 28.
+    m, rtol = 40, 1e-10
+    lap = sp.diags([-np.ones(m - 1), 2.0 * np.ones(m), -np.ones(m - 1)], [-1, 0, 1])
+    S = (sp.kron(lap, sp.eye(m)) + sp.kron(sp.eye(m), lap)).tocsr()
+    x = np.arange(1, m + 1) / (m + 1)
+    f = np.outer(np.sin(np.pi * x), np.sin(np.pi * x)).ravel()
+    g = np.random.default_rng(0).standard_normal(m * m)
+    g *= 1.5 * rtol * np.linalg.norm(f) / np.linalg.norm(g)
+    op = ReducedOperator(matrix=S, apply=lambda u: S @ u - g, kernel=np.ones((m * m, 1)))
+    u, stats = solve_reduced(op, f, SolverConfig(rtol=rtol), return_stats=True)
+    assert stats["residual"] <= rtol
+    assert np.linalg.norm(f - op.apply(u)) <= rtol * np.linalg.norm(f)
+    assert stats["iterations"] <= 10
 
 
 def test_solve_reduced_iteration_cap(small_system):
