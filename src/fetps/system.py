@@ -16,6 +16,12 @@ summed over components (G_k^T V_k + V_k^T G_k = G_k^T (alpha*K + rM) G_k
 admissible data, positive definite. The stabilization weight r is
 consistent and fixed to 1; it is kept as a module constant so its effect
 can be probed in tests.
+
+The alpha-term A = sum_k G_k^T K G_k and the rest of S - R vanish on the
+affine functions Z (for affine z, G_k z is the constant d_k z), so S Z = R Z
+exactly. `solve_reduced` deflates CG on Z through that exact image: the
+affine part of the solution comes from a (d+1)-sized solve with Z^T R Z,
+which carries no alpha, and CG runs only on the part S-orthogonal to Z.
 """
 
 from dataclasses import dataclass
@@ -31,7 +37,13 @@ STABILIZATION_R = 1.0
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Settings of the Jacobi-preconditioned CG solve of the reduced system."""
+    """Settings of the deflated, Jacobi-preconditioned CG solve.
+
+    `rtol` bounds the returned relative residual |f - W c - S y| / |f| of the
+    split iterate x = Z c + y (see `solve_reduced`); the recursion runs to
+    rtol/2 so that rounding between it and the split residual fits below
+    rtol. `max_iter` caps the CG iterations.
+    """
 
     rtol: float = 1e-10
     max_iter: int = None  # defaults to 10 * n
@@ -45,19 +57,25 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class ReducedOperator:
-    """Explicit sparse reduced operator and its block composition.
+    """Explicit sparse reduced operator, its affine kernel and its image.
 
-    `apply` evaluates the same operator as the composition of the original
-    blocks. The two agree up to rounding in the explicit products;
-    the composition preserves the kernel identities (constants, linears)
-    to machine precision even for extreme alpha, so the solver uses it for
-    residual refinement. `kernel` holds the vertex values of 1, x_1, ..,
-    x_d, a basis of the affine functions, on which the alpha-term vanishes.
+    `kernel` holds the vertex values of 1 and (x_k - centre_k) / extent_k
+    over the domain box: a basis of the affine functions, on which the
+    alpha-term vanishes. Centring and scaling keep Z^T R Z well conditioned
+    however far the domain lies from the origin. `kernel_image` is S Z,
+    computed exactly as R Z; the solver uses it in place of `matrix @ kernel`,
+    whose alpha-term rounding grows with alpha.
+
+    `apply` evaluates S as the composition of the original blocks, an
+    independent evaluation for checks to compare with (the energy identity
+    of the acceptance tests, the bench's residual check); the solver does
+    not use it.
     """
 
     matrix: sp.csr_matrix
     apply: object
     kernel: np.ndarray
+    kernel_image: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -103,55 +121,32 @@ def condense(blocks, alpha, r=STABILIZATION_R):
             out += B[k].T @ (dinv * (alpha * (K @ s) + r * (mass @ s)))
         return out
 
-    kernel = np.column_stack([np.ones(blocks.n), blocks.mesh.vertices])
-    return ReducedOperator(matrix=S, apply=apply, kernel=kernel)
-
-
-def _pcg(S, rhs, minv, abs_tol, max_iter):
-    """Plain preconditioned CG; returns (x, iterations, achieved residual norm)."""
-    x = np.zeros(S.shape[0])
-    res = rhs.copy()
-    rnorm = np.linalg.norm(res)
-    if rnorm <= abs_tol:
-        return x, 0, rnorm
-    p = z = minv * res
-    rz = res @ z
-    for it in range(1, max_iter + 1):
-        Sp = S @ p
-        pSp = p @ Sp
-        if pSp <= 0.0:
-            raise SingularSystemError(
-                "conjugate gradients broke down; operator not positive definite"
-            )
-        step = rz / pSp
-        x += step * p
-        res -= step * Sp
-        rnorm = np.linalg.norm(res)
-        if rnorm <= abs_tol:
-            return x, it, rnorm
-        z = minv * res
-        rz_new = res @ z
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    return x, max_iter, rnorm
+    domain = blocks.mesh.domain
+    centre = 0.5 * (domain.lower + domain.upper)
+    kernel = np.column_stack([
+        np.ones(blocks.n), (blocks.mesh.vertices - centre) / domain.extents
+    ])
+    return ReducedOperator(matrix=S, apply=apply, kernel=kernel,
+                           kernel_image=blocks.R @ kernel)
 
 
 def solve_reduced(op, f, cfg=None, return_stats=False):
-    """Solve the reduced SPD system by Jacobi-preconditioned CG.
+    """Solve the reduced SPD system by Jacobi-preconditioned CG deflated on
+    the affine kernel (Nicolaides 1987; Saad, Yeung, Erhel & Guyomarc'h 2000).
 
-    CG runs on the explicitly assembled operator; the solution is then
-    polished by iterative refinement against the residual of the block
-    composition `op.apply`, which removes the rounding bias of the explicit
-    products at large alpha. If refinement stalls above rtol, one Galerkin
-    step on the operator's `kernel` (the affine functions) removes the
-    error hidden below that floor.
+    The iterate is x = Z c + y, with Z = `op.kernel` and W = S Z its exact
+    image. c = E^-1 Z^T f, E = Z^T W, leaves a residual orthogonal to Z; CG
+    on y then projects each direction S-orthogonal to Z, p -= Z E^-1 W^T p,
+    which keeps every later residual orthogonal to Z. S is applied only to
+    p, never to Z. The recursion stops at rtol/2, and the returned residual
+    is the split one, |f - W c - S y| / |f|.
 
     Raises NoConvergenceError (carrying the last relative residual) when the
-    iteration cap is hit, and SingularSystemError when the operator turns
-    out not to be positive definite (inadmissible data).
+    iteration cap is hit, and SingularSystemError when the operator, or
+    Z^T R Z, turns out not to be positive definite (inadmissible data).
     """
     cfg = cfg or SolverConfig()
-    S = op.matrix
+    S, Z, W = op.matrix, op.kernel, op.kernel_image
     n = S.shape[0]
     f = np.asarray(f, dtype=float).ravel()
     if f.shape[0] != n:
@@ -165,62 +160,49 @@ def solve_reduced(op, f, cfg=None, return_stats=False):
         raise SingularSystemError("nonpositive diagonal; operator not SPD")
     minv = 1.0 / diag
     max_iter = cfg.max_iter if cfg.max_iter is not None else 10 * n
-    abs_tol = cfg.rtol * fnorm
-
-    x, total, rnorm = _pcg(S, f, minv, abs_tol, max_iter)
-    if rnorm > abs_tol:
-        raise NoConvergenceError(
-            f"CG did not reach rtol={cfg.rtol:g} in {max_iter} iterations "
-            f"(residual {rnorm / fnorm:.3e})",
-            residual=rnorm / fnorm,
-            iterations=total,
-        )
-    # Best-effort polish: the composition can be applied more accurately
-    # than the explicit products were formed, but it also has its own
-    # rounding floor, so refine only while it clearly helps.
-    rel = np.linalg.norm(f - op.apply(x)) / fnorm
-    for _ in range(4):
-        if rel <= cfg.rtol or total >= max_iter:
-            break
-        res = f - op.apply(x)
-        # a twentieth of the residual, but no tighter than half of rtol: a
-        # residual just above rtol needs only a small reduction
-        target = max(0.05 * np.linalg.norm(res), 0.5 * abs_tol)
-        delta, used, _ = _pcg(S, res, minv, target, max_iter - total)
-        total += used
-        candidate = x + delta
-        new_rel = np.linalg.norm(f - op.apply(candidate)) / fnorm
-        if new_rel >= 0.5 * rel:
-            if new_rel < rel:
-                x, rel = candidate, new_rel
-            break
-        x, rel = candidate, new_rel
-    if rel > cfg.rtol:
-        x = _correct_on_kernel(op, f, x)
-        rel = np.linalg.norm(f - op.apply(x)) / fnorm
-    stats = {"iterations": total, "residual": float(rel)}
-    return (x, stats) if return_stats else x
-
-
-def _correct_on_kernel(op, f, x):
-    """Galerkin correction of x on the affine kernel of the alpha-term.
-
-    At large alpha the rounding of the alpha-term sets a floor under the
-    residual norm that refinement cannot pass, and the error left in the
-    affine functions, which only the data term fixes, hides below it. The
-    alpha-term vanishes on them, so the projection of the composition
-    residual onto them carries no such floor: one coarse-space step
-    (Nicolaides 1987) removes that error.
-    """
-    Z = op.kernel
-    coarse = Z.T @ np.column_stack([op.apply(z) for z in Z.T])
     try:
-        step = scipy.linalg.solve(coarse, Z.T @ (f - op.apply(x)), assume_a="pos")
+        E = scipy.linalg.cho_factor(Z.T @ W)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(
             "reduced operator is singular on the affine functions"
         ) from exc
-    return x + Z @ step
+    coarse = scipy.linalg.cho_solve(E, W.T)
+
+    c = scipy.linalg.cho_solve(E, Z.T @ f)
+    y = np.zeros(n)
+    res = f - W @ c
+    z = minv * res
+    p = z - Z @ (coarse @ z)
+    rz = res @ z
+    it = 0
+    while (rnorm := np.linalg.norm(res)) > 0.5 * cfg.rtol * fnorm:
+        if it == max_iter:
+            raise NoConvergenceError(
+                f"CG did not reach rtol={cfg.rtol:g} in {max_iter} iterations "
+                f"(residual {rnorm / fnorm:.3e})",
+                residual=rnorm / fnorm,
+                iterations=it,
+            )
+        it += 1
+        Sp = S @ p
+        pSp = p @ Sp
+        if pSp <= 0.0:
+            raise SingularSystemError(
+                "conjugate gradients broke down; operator not positive definite"
+            )
+        step = rz / pSp
+        y += step * p
+        res -= step * Sp
+        np.multiply(minv, res, out=z)
+        rz_new = res @ z
+        p *= rz_new / rz
+        p += z
+        p -= Z @ (coarse @ p)
+        rz = rz_new
+    rel = np.linalg.norm(f - W @ c - S @ y) / fnorm
+    x = Z @ c + y
+    stats = {"iterations": it, "residual": float(rel)}
+    return (x, stats) if return_stats else x
 
 
 def recover_gradient(B, gram_diag, u):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import fetps.smoother
 from fetps.assembly import assemble_gram_full
 from fetps.elements import quadrature
 from fetps.errors import SingularSystemError
@@ -24,6 +25,18 @@ def unit_cube():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240901)
+
+
+@pytest.fixture
+def stalled_solve(monkeypatch):
+    """Make `fit`'s solve report a residual of 1e-8, above the default rtol."""
+    solve = fetps.smoother.solve_reduced
+
+    def stalled(op, f, cfg=None, return_stats=False):
+        u, stats = solve(op, f, cfg, return_stats=True)
+        return u, dict(stats, residual=1e-8)
+
+    monkeypatch.setattr(fetps.smoother, "solve_reduced", stalled)
 
 
 def make_mesh(domain, cells, kind):
