@@ -279,17 +279,52 @@ def _strip_weights(mesh, vertex, strip, gram, grad):
     return beta.reshape(len(strip), nl)
 
 
-def assemble_stiffness(mesh):
-    """Scalar stiffness matrix; symmetric, constants in the kernel."""
+def _stiffness(mesh, nodal):
     invj = mesh.inv_jacobians
     geometry = mesh.det_jacobians[:, None, None] * (invj @ invj.transpose(0, 2, 1))
-    local = _element_matrices(mesh, "grad", "grad", geometry)
-    return _nodal_glue(mesh) @ _element_rows(mesh, local)
+    return nodal @ _element_rows(mesh, _element_matrices(mesh, "grad", "grad", geometry))
+
+
+def _mass(mesh, nodal):
+    return nodal @ _element_rows(mesh, _element_matrices(mesh, "phi", "phi"))
+
+
+def _gram_diagonal(mesh, dual):
+    local = _element_matrices(mesh, "mu", "phi").sum(axis=2)
+    diag = dual @ local.ravel()
+    if np.any(diag <= 0):
+        raise BiorthogonalityError("nonpositive Gram diagonal entry")
+    return diag
+
+
+def _grad_coupling(mesh, basis, glue):
+    # d_k phi_j = dphi_j/dxhat_m (J^-1)[m, k]
+    det_invj = mesh.det_jacobians[:, None, None] * mesh.inv_jacobians
+    return tuple(
+        glue @ _element_rows(mesh, _element_matrices(mesh, basis, "grad", det_invj[:, :, k]))
+        for k in range(mesh.dim)
+    )
+
+
+def _mesh_blocks(mesh):
+    """K, mass, c, B and W of a mesh, with each glue built once.
+
+    Bit for bit the blocks of the public `assemble_*` functions, which
+    build their glue per call.
+    """
+    nodal, dual = _nodal_glue(mesh), dual_basis(mesh)
+    return (_stiffness(mesh, nodal), _mass(mesh, nodal), _gram_diagonal(mesh, dual),
+            _grad_coupling(mesh, "mu", dual), _grad_coupling(mesh, "phi", nodal))
+
+
+def assemble_stiffness(mesh):
+    """Scalar stiffness matrix; symmetric, constants in the kernel."""
+    return _stiffness(mesh, _nodal_glue(mesh))
 
 
 def assemble_mass(mesh):
     """Scalar mass matrix of the nodal basis."""
-    return _nodal_glue(mesh) @ _element_rows(mesh, _element_matrices(mesh, "phi", "phi"))
+    return _mass(mesh, _nodal_glue(mesh))
 
 
 def assemble_gram_full(mesh):
@@ -307,11 +342,7 @@ def assemble_gram_diagonal(mesh):
     Computed as the row sum int mu_j = sum_k int mu_j phi_k, which is c_j
     for a biorthogonal pair (`assemble_gram_full` gives the whole coupling).
     """
-    local = _element_matrices(mesh, "mu", "phi").sum(axis=2)
-    diag = dual_basis(mesh) @ local.ravel()
-    if np.any(diag <= 0):
-        raise BiorthogonalityError("nonpositive Gram diagonal entry")
-    return diag
+    return _gram_diagonal(mesh, dual_basis(mesh))
 
 
 def assemble_grad_coupling(mesh, test="dual"):
@@ -323,13 +354,9 @@ def assemble_grad_coupling(mesh, test="dual"):
     """
     if test not in ("dual", "primal"):
         raise ValueError(f"test must be 'dual' or 'primal', got {test!r}")
-    basis, glue = ("mu", dual_basis(mesh)) if test == "dual" else ("phi", _nodal_glue(mesh))
-    # d_k phi_j = dphi_j/dxhat_m (J^-1)[m, k]
-    det_invj = mesh.det_jacobians[:, None, None] * mesh.inv_jacobians
-    return tuple(
-        glue @ _element_rows(mesh, _element_matrices(mesh, basis, "grad", det_invj[:, :, k]))
-        for k in range(mesh.dim)
-    )
+    if test == "dual":
+        return _grad_coupling(mesh, "mu", dual_basis(mesh))
+    return _grad_coupling(mesh, "phi", _nodal_glue(mesh))
 
 
 def evaluation_matrix(mesh, points):
@@ -392,11 +419,7 @@ def assemble_system(mesh, data):
         raise TypeError("data must be a ScatteredData")
     if data.dim != mesh.dim:
         raise ValueError("data dimension does not match mesh dimension")
-    K = assemble_stiffness(mesh)
-    mass = assemble_mass(mesh)
-    c = assemble_gram_diagonal(mesh)
-    B = assemble_grad_coupling(mesh, test="dual")
-    W = assemble_grad_coupling(mesh, test="primal")
+    K, mass, c, B, W = _mesh_blocks(mesh)
     P = evaluation_matrix(mesh, data.points)
     R, f = assemble_data_term(P, data.values)
     return SystemBlocks(mesh=mesh, K=K, mass=mass, gram_diag=c, B=B, W=W, P=P, R=R, f=f)

@@ -7,32 +7,51 @@ eliminate exactly from the three-block system
     [ -rW    alpha*A+rM  D   ] [ sigma ] = [ 0 ]
     [ -B       D         0   ] [ phi   ]   [ 0 ]
 
-leaving the reduced operator S = T + T^T, with G_k = D^-1 B_k and
+leaving the reduced operator S = R + S_h, with G_k = D^-1 B_k and the
+data-free part S_h = T + T^T,
 
-    T = (R + rK)/2 + G_k^T V_k,   V_k = (alpha*K + rM) G_k/2 - r W_k
+    T = rK/2 + G_k^T V_k,   V_k = (alpha*K + rM) G_k/2 - r W_k
 
 summed over components (G_k^T V_k + V_k^T G_k = G_k^T (alpha*K + rM) G_k
-- r (W_k^T G_k + G_k^T W_k)). It is symmetric to the last bit and, for
-admissible data, positive definite. The stabilization weight r is
-consistent and fixed to 1; it is kept as a module constant so its effect
-can be probed in tests.
+- r (W_k^T G_k + G_k^T W_k)). Only R = P^T P depends on the data. The
+stabilization weight r is consistent and fixed to 1; it is kept as a
+module constant so its effect can be probed in tests.
 
-The alpha-term A = sum_k G_k^T K G_k and the rest of S - R vanish on the
+S_h depends only on the grid, and away from the boundary it is translation
+invariant: every element of one type has the same local blocks (per-type
+geometry), an interior dual is the same glue of them everywhere, and a
+boundary dual reaches two cells inward and no further. So a row of S_h
+depends only on its vertex's class along each axis: depth 0, 1 or 2 from
+either side, or interior (depth 3 and more). `condense` forms T + T^T once
+on a reference grid of min(c_k, 6) cells per axis with the mesh's own cell
+widths, which holds a vertex of every class, and copies the row of each
+vertex's class to every vertex, its columns moved by the real grid's
+strides. Up to the rounding of the reference widths, that is the formula
+on the whole mesh.
+
+The alpha-term A = sum_k G_k^T K G_k and the rest of S_h vanish on the
 affine functions Z (for affine z, G_k z is the constant d_k z), so S Z = R Z
 exactly. `solve_reduced` deflates CG on Z through that exact image: the
 affine part of the solution comes from a (d+1)-sized solve with Z^T R Z,
 which carries no alpha, and CG runs only on the part S-orthogonal to Z.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
+from .assembly import _mesh_blocks
 from .errors import NoConvergenceError, SingularSystemError
+from .mesh import Domain, build_structured_mesh
 
 STABILIZATION_R = 1.0
+
+# Cells per axis of the reference grid: vertex 3 of 0..6 lies at depth 3
+# from both sides, so the grid holds every row class of S_h.
+REFERENCE_CELLS = 6
 
 
 @dataclass(frozen=True)
@@ -90,24 +109,26 @@ class SolutionTriple:
 def condense(blocks, alpha, r=STABILIZATION_R):
     """Eliminate gradient and multiplier unknowns into one SPD operator.
 
-    Forms S = T + T^T (module docstring) with one sparse product, G^T V of
-    the stacked G_k and V_k; S_ij and S_ji add the same two numbers.
+    Returns S = R + S_h, with S_h tiled from the reference grid (module
+    docstring). Tiling is exact because per-type geometry gives every
+    element of one type the same local blocks and a boundary dual reaches
+    only two cells inward, so a row depends only on its vertex's class. The
+    reference S_h = T + T^T is symmetric to the last bit, since S_ij and S_ji
+    add the same two numbers, and the tiled S keeps that symmetry.
+
+    Raises ValueError unless alpha is finite and positive, and
+    SingularSystemError when the Gram diagonal has a nonpositive entry.
     """
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    c = blocks.gram_diag
-    if np.any(c <= 0):
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be finite and positive, got {alpha}")
+    if np.any(blocks.gram_diag <= 0):
         raise SingularSystemError("Gram diagonal has a nonpositive entry")
-    dinv = 1.0 / c
-    G = [sp.csr_matrix(Bk.multiply(dinv[:, None])) for Bk in blocks.B]
-    half_inner = 0.5 * (alpha * blocks.K + r * blocks.mass)
-    V = sp.vstack([half_inner @ Gk - r * Wk for Gk, Wk in zip(G, blocks.W)], format="csr")
-    T = 0.5 * (blocks.R + r * blocks.K) + sp.vstack(G, format="csr").T @ V
-    S = T + T.T
-    # the sum was built in a buffer of nnz(T) + nnz(T^T) entries; keep nnz
+    S = blocks.R + _tiled_operator(blocks.mesh, alpha, r)
+    # the sum was built in a buffer of nnz(R) + nnz(S_h) entries; keep nnz
     nnz = S.nnz
     S = sp.csr_matrix((S.data[:nnz].copy(), S.indices[:nnz].copy(), S.indptr), S.shape)
 
+    dinv = 1.0 / blocks.gram_diag
     R, K, mass = blocks.R, blocks.K, blocks.mass
     B, W = blocks.B, blocks.W
     dim = blocks.dim
@@ -130,6 +151,48 @@ def condense(blocks, alpha, r=STABILIZATION_R):
                            kernel_image=blocks.R @ kernel)
 
 
+def _reference_operator(mesh, alpha, r):
+    """S_h = T + T^T (module docstring) of the mesh's blocks, with R = 0."""
+    K, mass, c, B, W = _mesh_blocks(mesh)
+    G = [sp.csr_matrix(Bk.multiply((1.0 / c)[:, None])) for Bk in B]
+    half_inner = 0.5 * (alpha * K + r * mass)
+    V = sp.vstack([half_inner @ Gk - r * Wk for Gk, Wk in zip(G, W)], format="csr")
+    T = 0.5 * r * K + sp.vstack(G, format="csr").T @ V
+    return (T + T.T).tocsr()
+
+
+def _tiled_operator(mesh, alpha, r):
+    """S_h of the mesh, its rows copied from the reference grid's S_h.
+
+    Along each axis the reference vertex of grid index g is g within 2 of
+    the lower side, 3 inside, and g - (c - 6) within 2 of the upper side;
+    an axis of c <= 6 cells is its own reference.
+    """
+    cells = np.asarray(mesh.cells_per_axis)
+    ref_cells = np.minimum(cells, REFERENCE_CELLS)
+    extents = mesh.domain.extents
+    ref_extents = np.where(ref_cells == cells, extents, ref_cells * (extents / cells))
+    ref = _reference_operator(
+        build_structured_mesh(Domain(np.zeros(mesh.dim), ref_extents), ref_cells, mesh.kind),
+        alpha, r)
+    shape, ref_shape, mid = cells + 1, ref_cells + 1, REFERENCE_CELLS // 2
+    axes = [np.where(g < mid, g, np.maximum(mid, g - (c - rc)))
+            for g, c, rc in zip(map(np.arange, shape), cells, ref_cells)]
+    ref_of = np.ravel_multi_index(np.meshgrid(*axes, indexing="ij"), ref_shape).ravel()
+    # column offset of each reference entry from its row, in real strides
+    ref_index = np.stack(np.unravel_index(np.arange(ref.shape[0]), ref_shape), axis=1)
+    ref_row = np.repeat(np.arange(ref.shape[0]), np.diff(ref.indptr))
+    strides = np.cumprod(np.r_[1, shape[:0:-1]])[::-1]
+    offset = (ref_index[ref.indices] - ref_index[ref_row]) @ strides
+
+    counts = np.diff(ref.indptr)[ref_of]
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    entry = np.arange(indptr[-1]) + np.repeat(ref.indptr[ref_of] - indptr[:-1], counts)
+    rows = np.repeat(np.arange(mesh.n_vertices), counts)
+    return sp.csr_matrix((ref.data[entry], rows + offset[entry], indptr),
+                         shape=(mesh.n_vertices, mesh.n_vertices))
+
+
 def solve_reduced(op, f, cfg=None, return_stats=False):
     """Solve the reduced SPD system by Jacobi-preconditioned CG deflated on
     the affine kernel (Nicolaides 1987; Saad, Yeung, Erhel & Guyomarc'h 2000).
@@ -143,7 +206,8 @@ def solve_reduced(op, f, cfg=None, return_stats=False):
 
     Raises NoConvergenceError (carrying the last relative residual) when the
     iteration cap is hit, and SingularSystemError when the operator, or
-    Z^T R Z, turns out not to be positive definite (inadmissible data).
+    Z^T R Z, turns out not to be positive definite (inadmissible data) or
+    the operator is not finite (a NaN or infinite diagonal or p^T S p).
     """
     cfg = cfg or SolverConfig()
     S, Z, W = op.matrix, op.kernel, op.kernel_image
@@ -156,8 +220,8 @@ def solve_reduced(op, f, cfg=None, return_stats=False):
         u = np.zeros(n)
         return (u, {"iterations": 0, "residual": 0.0}) if return_stats else u
     diag = S.diagonal()
-    if np.any(diag <= 0):
-        raise SingularSystemError("nonpositive diagonal; operator not SPD")
+    if not (np.all(diag > 0) and np.all(np.isfinite(diag))):
+        raise SingularSystemError("nonpositive or non-finite diagonal; operator not SPD")
     minv = 1.0 / diag
     max_iter = cfg.max_iter if cfg.max_iter is not None else 10 * n
     try:
@@ -186,9 +250,10 @@ def solve_reduced(op, f, cfg=None, return_stats=False):
         it += 1
         Sp = S @ p
         pSp = p @ Sp
-        if pSp <= 0.0:
+        if not 0.0 < pSp < np.inf:
             raise SingularSystemError(
-                "conjugate gradients broke down; operator not positive definite"
+                "conjugate gradients broke down; operator not positive definite or "
+                "not finite"
             )
         step = rz / pSp
         y += step * p

@@ -182,6 +182,23 @@ def assert_biorthogonal(mesh, gram_diag):
     assert np.abs(gram_diag - diag).max() <= 1e-13 * diag.max()
 
 
+# -- block-formula oracle of the condensed operator ---------------------------
+
+def condensed_block_formula(blocks, alpha, r=STABILIZATION_R):
+    """S_h = T + T^T of the whole mesh's blocks, with R = 0, as sparse products.
+
+    T = rK/2 + G_k^T V_k, V_k = (alpha K + rM) G_k/2 - r W_k, G_k = D^-1 B_k
+    (see `fetps.system`): the data-free part of the reduced operator,
+    formed on the full mesh rather than tiled from a reference grid.
+    """
+    dinv = 1.0 / blocks.gram_diag
+    G = [sp.csr_matrix(Bk.multiply(dinv[:, None])) for Bk in blocks.B]
+    half_inner = 0.5 * (alpha * blocks.K + r * blocks.mass)
+    V = sp.vstack([half_inner @ Gk - r * Wk for Gk, Wk in zip(G, blocks.W)], format="csr")
+    T = 0.5 * r * blocks.K + sp.vstack(G, format="csr").T @ V
+    return (T + T.T).tocsr()
+
+
 # -- dense three-block oracle ------------------------------------------------
 
 DENSE_ORACLE_CAP = 3000

@@ -271,6 +271,21 @@ def test_dual_basis_is_the_nodal_glue_off_the_boundary(kind, cells):
     assert (C[~standard] != nodal_glue(mesh)[~standard]).any(axis=1).all()
 
 
+@pytest.mark.parametrize("kind,box", SMALL_MESHES)
+def test_assemble_system_blocks_equal_public_assembly(kind, box, rng):
+    # assemble_system builds each glue once; the public calls build their own
+    mesh = small_mesh(kind, box)
+    pts = mesh.domain.lower + mesh.domain.extents * rng.uniform(0.0, 1.0, (10, mesh.dim))
+    blocks = assemble_system(mesh, ScatteredData(pts, pts[:, 0]))
+    assert np.array_equal(blocks.gram_diag, assemble_gram_diagonal(mesh))
+    pairs = [(blocks.K, assemble_stiffness(mesh)), (blocks.mass, assemble_mass(mesh))]
+    pairs += zip(blocks.B, assemble_grad_coupling(mesh, test="dual"))
+    pairs += zip(blocks.W, assemble_grad_coupling(mesh, test="primal"))
+    for ours, public in pairs:
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(ours, attr), getattr(public, attr))
+
+
 @pytest.mark.parametrize("kind", ["simplex", "parallelotope"])
 @pytest.mark.parametrize("dim", [2, 3])
 def test_evaluation_matrix_stores_one_entry_per_element_vertex(kind, dim, rng):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fetps.smoother
 from conftest import SMALL_MESHES, element_patch, fe_value_on_element, small_mesh
 from fetps.assembly import ScatteredData, assemble_system
 from fetps.errors import DataFormatError, SingularSystemError
@@ -51,6 +52,19 @@ def test_fit_warns_when_it_misses_rtol(mesh8, sites, stalled_solve):
     with pytest.warns(RuntimeWarning, match="above rtol"):
         s = fit(data, mesh8, FitConfig(alpha=1e-3))
     assert s.residual > SolverConfig().rtol
+
+
+def test_fit_warns_on_a_nan_residual(mesh8, sites, monkeypatch):
+    solve = fetps.smoother.solve_reduced
+
+    def nan_residual(op, f, cfg=None, return_stats=False):
+        u, stats = solve(op, f, cfg, return_stats=True)
+        return u, dict(stats, residual=np.nan)
+
+    monkeypatch.setattr(fetps.smoother, "solve_reduced", nan_residual)
+    data = ScatteredData(sites, np.sin(3.0 * sites[:, 0]) + sites[:, 1])
+    with pytest.warns(RuntimeWarning, match="above rtol"):
+        fit(data, mesh8, FitConfig(alpha=1e-3))
 
 
 def test_fit_meets_rtol_at_large_alpha_on_dense_data(unit_square):

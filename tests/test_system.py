@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from conftest import (
+    OFFSET_2D,
+    OFFSET_3D,
     SMALL_MESHES,
     Box,
     assert_biorthogonal,
+    condensed_block_formula,
     saddle_matrix_dense,
     scaled_saddle_matrix,
     small_mesh,
@@ -24,10 +27,25 @@ from fetps.system import (
 ALPHAS = (1e-4, 1e-2, 1.0)
 
 # The 3D SMALL_MESHES have a single-cell axis, which keeps the standard
-# duals; a (2, 2, 2) box has the boundary-modified ones.
+# duals; a (2, 2, 2) box has the boundary-modified ones. The boxes with more
+# than 6 cells on an axis are wider than condense's reference grid, so their
+# rows are tiled from it.
 CONDENSE_MESHES = SMALL_MESHES + [
     ("simplex", Box((2, 2, 2))),
     ("parallelotope", Box((2, 2, 2))),
+    ("simplex", Box((9, 7), **OFFSET_2D)),
+    ("parallelotope", Box((7, 8))),
+    ("simplex", Box((7, 2, 8), **OFFSET_3D)),
+    ("parallelotope", Box((8, 1, 7))),
+]
+
+# 6 cells on an axis is the reference grid itself; 7, 8 and 13 are tiled
+TILED_MESHES = [
+    ("simplex", Box((6, 13))),
+    ("parallelotope", Box((13, 7))),
+    ("parallelotope", Box((8, 13), **OFFSET_2D)),
+    ("simplex", Box((7, 2, 8))),
+    ("parallelotope", Box((6, 8, 7), **OFFSET_3D)),
 ]
 CONDENSE_ALPHAS = ALPHAS + (1e6,)
 
@@ -62,8 +80,9 @@ def test_solver_config_validation():
 
 def test_condense_requires_positive_alpha(small_system):
     blocks, _ = small_system
-    with pytest.raises(ValueError):
-        condense(blocks, 0.0)
+    for alpha in (0.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            condense(blocks, alpha)
 
 
 def test_condense_rejects_nonpositive_gram(small_system):
@@ -96,6 +115,18 @@ def test_condense_matches_dense_schur_complement(rng):
             ours = condense(blocks, alpha).matrix.toarray()
             assert np.abs(ours - oracle).max() <= 1e-11 * np.abs(oracle).max(), (
                 kind, box, alpha)
+
+
+@pytest.mark.parametrize("kind,box", TILED_MESHES)
+def test_tiled_condense_matches_block_formula(kind, box, rng):
+    blocks = mesh_blocks(kind, box, rng)
+    for alpha in (1e-4, 1.0, 1e6):
+        for r in (1.0, 2.0):
+            S = condense(blocks, alpha, r).matrix
+            oracle = condensed_block_formula(blocks, alpha, r)
+            gap = np.abs((S - blocks.R - oracle).toarray()).max()
+            assert gap <= 1e-14 * np.abs(S.data).max(), (alpha, r, gap)
+            assert S.nnz == (blocks.R + oracle).nnz
 
 
 def buffer_size(a):
@@ -168,6 +199,29 @@ def test_solve_reduced_iteration_cap(small_system):
         solve_reduced(op, blocks.f, SolverConfig(rtol=1e-13, max_iter=2))
     assert err.value.iterations == 2
     assert 0.0 < err.value.residual
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_solve_reduced_rejects_non_finite_diagonal(small_system, bad):
+    from dataclasses import replace
+
+    blocks, _ = small_system
+    op = condense(blocks, 1e-2)
+    S = op.matrix.tolil()
+    S[4, 4] = bad
+    with pytest.raises(SingularSystemError, match="diagonal"):
+        solve_reduced(replace(op, matrix=S.tocsr()), blocks.f)
+
+
+def test_solve_reduced_rejects_non_finite_off_diagonal(small_system):
+    from dataclasses import replace
+
+    blocks, _ = small_system
+    op = condense(blocks, 1e-2)
+    S = op.matrix.tolil()
+    S[0, 1] = S[1, 0] = np.inf
+    with pytest.raises(SingularSystemError, match="broke down"):
+        solve_reduced(replace(op, matrix=S.tocsr()), blocks.f)
 
 
 def test_recover_zero(small_system):
