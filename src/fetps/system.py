@@ -171,6 +171,7 @@ def _tiled_operator(mesh, alpha, r):
     cells = np.asarray(mesh.cells_per_axis)
     ref_cells = np.minimum(cells, REFERENCE_CELLS)
     extents = mesh.domain.extents
+    # an axis that is its own reference keeps its extent, so its width is exact
     ref_extents = np.where(ref_cells == cells, extents, ref_cells * (extents / cells))
     ref = _reference_operator(
         build_structured_mesh(Domain(np.zeros(mesh.dim), ref_extents), ref_cells, mesh.kind),
@@ -185,6 +186,7 @@ def _tiled_operator(mesh, alpha, r):
     strides = np.cumprod(np.r_[1, shape[:0:-1]])[::-1]
     offset = (ref_index[ref.indices] - ref_index[ref_row]) @ strides
 
+    # entry k of real row i is entry k of its reference row
     counts = np.diff(ref.indptr)[ref_of]
     indptr = np.concatenate([[0], np.cumsum(counts)])
     entry = np.arange(indptr[-1]) + np.repeat(ref.indptr[ref_of] - indptr[:-1], counts)
