@@ -41,7 +41,6 @@ from .smoother import (
     Smoother,
     energy_norm,
     energy_norm_difference,
-    fe_gradient,
     fe_value,
     fit,
     functional_value,

@@ -145,21 +145,14 @@ class ElementPair:
         return vals
 
 
-def make_element_pair(kind, d=None):
+def make_element_pair(kind):
     """Build the biorthogonal primal/dual pair for a reference cell.
 
-    Parameters
-    ----------
-    kind : str
-        'triangle', 'tet', 'quad' or 'hex'.
-    d : int, optional
-        If given, must match the intrinsic dimension of `kind`.
+    `kind` is 'triangle', 'tet', 'quad' or 'hex'; it fixes the dimension.
     """
     if kind not in CELL_DIMS:
         raise ValueError(f"unsupported element kind {kind!r}")
     dim = CELL_DIMS[kind]
-    if d is not None and d != dim:
-        raise ValueError(f"kind {kind!r} has dimension {dim}, not {d}")
     if kind in SIMPLEX_CELLS:
         nodes = np.vstack([np.zeros(dim), np.eye(dim)])
         c_hat = CELL_VOLUMES[kind] / (dim + 1)

@@ -8,6 +8,11 @@ the domain. The quasi-projection uses the biorthogonal dual basis:
 
 which restricts to the identity on the finite element space and acts as a
 local gradient-recovery operator when applied to broken gradients.
+
+The energy norm of a vertex-coefficient pair (u, sigma) is the quadratic
+form of the assembled blocks P, K, mass and W_k (see `energy_norm`); the
+norm of the difference of two fits is taken on the finer of two nested
+meshes (see `energy_norm_difference`).
 """
 
 import json
@@ -17,7 +22,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import _grad_coupling, _gram_diagonal, assemble_system, dual_basis
+from .assembly import (
+    _grad_coupling,
+    _gram_diagonal,
+    assemble_grad_coupling,
+    assemble_mass,
+    assemble_stiffness,
+    assemble_system,
+    dual_basis,
+    evaluation_matrix,
+)
 from .elements import quadrature
 from .errors import DataFormatError, SingularSystemError
 from .mesh import build_structured_mesh, grid_from_dict, locate_points, mesh_to_dict
@@ -84,10 +98,6 @@ class Smoother:
         """
         value, *grad = _fe_values(self.mesh, [self.u, *self.sigma], points)
         return value, np.stack(grad, axis=1)
-
-    def evaluate_raw_gradient(self, points):
-        """Broken elementwise gradient of u_h (differs from sigma_h)."""
-        return fe_gradient(self.mesh, self.u, points)
 
     def to_dict(self):
         """JSON-ready model, format version 2: alpha, the grid, u and sigma.
@@ -249,21 +259,6 @@ def _fe_values(mesh, coeff_rows, points):
     return [(vals * np.asarray(c)[conn]).sum(axis=1) for c in coeff_rows]
 
 
-def fe_gradient(mesh, coeffs, points):
-    """Broken elementwise gradient of the FE function at given points."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    eids, refs = locate_points(mesh, pts)
-    return fe_gradient_on_elements(mesh, coeffs, eids, refs)
-
-
-def fe_gradient_on_elements(mesh, coeffs, eids, refs):
-    grads = mesh.element_pair.nodal_grad(np.atleast_2d(refs))  # (m, nl, dref)
-    # physical gradient: invJ^T action
-    phys = np.einsum("mik,mkd->mid", grads, mesh.inv_jacobians[eids])
-    local = np.asarray(coeffs)[mesh.elements[eids]]  # (m, nl)
-    return np.einsum("mi,mid->md", local, phys)
-
-
 # -- quadrature on the mesh ---------------------------------------------------
 
 def element_quadrature(mesh, degree):
@@ -326,80 +321,44 @@ def lagrange_interpolate(mesh, v):
 
 # -- norms and functionals ---------------------------------------------------
 
-def integrate(mesh, func, degree=5):
-    """Integrate a pointwise field over the mesh by elementwise quadrature."""
-    _, points, weights = element_quadrature(mesh, degree)
-    vals = np.asarray(func(points.reshape(-1, mesh.dim)), dtype=float)
-    return float(weights.ravel() @ vals)
+def energy_norm(mesh, data_points, alpha, u, sigma):
+    """Energy norm of a pair of FE fields with vertex coefficients (u, sigma).
 
+    sqrt( sum_i u(x_i)^2 + alpha |sigma|_{H1}^2 + ||sigma - grad u||_{L2}^2 )
 
-def energy_norm(mesh, data_points, alpha, u, grad_u, sigma, jac_sigma, degree=5):
-    """Energy norm of a (u, sigma) pair against given data sites.
-
-    sqrt( sum_i u(x_i)^2 + alpha * |sigma|_{H1}^2 + ||sigma - grad u||_{L2}^2 )
-
-    with the H1 seminorm integrated elementwise. `u` maps points to values,
-    `grad_u` and `sigma` map points to (m, d), `jac_sigma` maps points to
-    (m, d, d) component derivatives.
+    evaluated exactly as the quadratic form of the assembled blocks:
+    |P u|^2 + u^T K u + sum_k (alpha s_k^T K s_k + s_k^T M s_k - 2 s_k^T W_k u),
+    where ||sigma - grad u||^2 expands through (W_k)_ij = int phi_i d_k phi_j.
+    `u` has shape (n,) and `sigma` shape (d, n).
     """
-    data_points = np.atleast_2d(np.asarray(data_points, dtype=float))
-    pterm = float(np.sum(np.asarray(u(data_points), dtype=float) ** 2))
-
-    def h1_density(pts):
-        jac = np.asarray(jac_sigma(pts), dtype=float)
-        return (jac ** 2).sum(axis=(1, 2))
-
-    def constraint_density(pts):
-        diff = np.asarray(sigma(pts), dtype=float) - np.asarray(grad_u(pts), dtype=float)
-        return (diff ** 2).sum(axis=1)
-
-    h1 = integrate(mesh, h1_density, degree)
-    cons = integrate(mesh, constraint_density, degree)
-    return float(np.sqrt(max(pterm + alpha * h1 + cons, 0.0)))
+    u = np.asarray(u, dtype=float)
+    pu = evaluation_matrix(mesh, data_points) @ u
+    K, M = assemble_stiffness(mesh), assemble_mass(mesh)
+    W = assemble_grad_coupling(mesh, "primal")
+    total = float(pu @ pu + u @ (K @ u))
+    for s_k, W_k in zip(np.asarray(sigma, dtype=float), W):
+        total += float(alpha * (s_k @ (K @ s_k)) + s_k @ (M @ s_k) - 2.0 * (s_k @ (W_k @ u)))
+    return math.sqrt(max(total, 0.0))
 
 
-def smoother_pair_fields(s):
-    """The four field callables of a fitted smoother for energy_norm."""
-    def u(pts):
-        return s.evaluate(pts)
-
-    def grad_u(pts):
-        return s.evaluate_raw_gradient(pts)
-
-    def sigma(pts):
-        return s.evaluate_gradient(pts)
-
-    def jac_sigma(pts):
-        p = np.atleast_2d(np.asarray(pts, dtype=float))
-        eids, refs = locate_points(s.mesh, p)
-        rows = [
-            fe_gradient_on_elements(s.mesh, s.sigma[k], eids, refs)
-            for k in range(s.mesh.dim)
-        ]
-        return np.stack(rows, axis=1)  # (m, d, d): row k = grad sigma_k
-
-    return u, grad_u, sigma, jac_sigma
-
-
-def energy_norm_difference(s_coarse, s_fine, data_points, alpha, degree=2):
+def energy_norm_difference(s_coarse, s_fine, data_points, alpha):
     """Energy norm of the pairwise difference of two fitted smoothers.
 
-    Quadrature runs on the finer mesh; with nested structured meshes the
-    integrands are piecewise polynomial there, so low degree is exact.
+    The meshes must be nested: the same domain and kind, and the finer
+    mesh's cell count on each axis an integer multiple of the coarser one's
+    (ValueError otherwise). Then the coarser fit lies in the finer FE space,
+    so its values and recovered gradient at the finer mesh's vertices are
+    its coefficients there, and `energy_norm` on that mesh is exact.
     """
-    uc, guc, sc, jc = smoother_pair_fields(s_coarse)
-    uf, guf, sf, jf = smoother_pair_fields(s_fine)
-    fine_mesh = s_fine.mesh if s_fine.mesh.h <= s_coarse.mesh.h else s_coarse.mesh
-    return energy_norm(
-        fine_mesh,
-        data_points,
-        alpha,
-        lambda p: uc(p) - uf(p),
-        lambda p: guc(p) - guf(p),
-        lambda p: sc(p) - sf(p),
-        lambda p: jc(p) - jf(p),
-        degree=degree,
-    )
+    coarse, fine = sorted((s_coarse, s_fine), key=lambda s: s.mesh.n_vertices)
+    mc, mf = coarse.mesh, fine.mesh
+    if not (mc.kind == mf.kind
+            and np.array_equal(mc.domain.lower, mf.domain.lower)
+            and np.array_equal(mc.domain.upper, mf.domain.upper)
+            and all(f % c == 0 for c, f in zip(mc.cells_per_axis, mf.cells_per_axis))):
+        raise ValueError(f"energy_norm_difference needs nested meshes, got {mc} and {mf}")
+    value, grad = coarse.evaluate_with_gradient(mf.vertices)
+    return energy_norm(mf, data_points, alpha, value - fine.u, grad.T - fine.sigma)
 
 
 def functional_value(s, data, coeffs=None):

@@ -9,7 +9,10 @@ fit_energy       : energy norm of successive-level fit differences
 
 The fitting column compares consecutive levels because the continuous
 minimizer has no closed form; its orders are therefore Richardson-style
-self-referential estimates, which is reported as such by the CLI.
+self-referential estimates, which is reported as such by the CLI. Each
+level halves the cells of the one before, so the coarser fit lies in the
+finer FE space and the norm is the exact block form on the finer mesh
+(`energy_norm_difference`).
 """
 
 import numpy as np

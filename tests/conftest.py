@@ -8,7 +8,8 @@ import fetps.smoother
 from fetps.assembly import assemble_gram_full
 from fetps.elements import quadrature
 from fetps.errors import SingularSystemError
-from fetps.mesh import Domain, build_structured_mesh
+from fetps.mesh import Domain, build_structured_mesh, locate_points
+from fetps.smoother import element_quadrature
 from fetps.system import STABILIZATION_R, SolutionTriple
 
 
@@ -180,6 +181,78 @@ def assert_biorthogonal(mesh, gram_diag):
     max_off = np.abs(off.data).max() if off.nnz else 0.0
     assert max_off < 1e-13 * diag.max(), f"off-diagonal {max_off:.3e}, max diagonal {diag.max():.3e}"
     assert np.abs(gram_diag - diag).max() <= 1e-13 * diag.max()
+
+
+# -- quadrature oracle of the energy norm ------------------------------------
+
+def integrate(mesh, func, degree=5):
+    """Integrate a pointwise field over the mesh by elementwise quadrature."""
+    _, points, weights = element_quadrature(mesh, degree)
+    vals = np.asarray(func(points.reshape(-1, mesh.dim)), dtype=float)
+    return float(weights.ravel() @ vals)
+
+
+def fe_gradient_on_elements(mesh, coeffs, eids, refs):
+    """Broken gradient of an FE function at reference points of given elements."""
+    grads = mesh.element_pair.nodal_grad(np.atleast_2d(refs))  # (m, nl, dref)
+    # physical gradient: invJ^T action
+    phys = np.einsum("mik,mkd->mid", grads, mesh.inv_jacobians[eids])
+    local = np.asarray(coeffs)[mesh.elements[eids]]  # (m, nl)
+    return np.einsum("mi,mid->md", local, phys)
+
+
+def fe_gradient(mesh, coeffs, points):
+    """Broken elementwise gradient of the FE function at given points."""
+    eids, refs = locate_points(mesh, np.atleast_2d(np.asarray(points, dtype=float)))
+    return fe_gradient_on_elements(mesh, coeffs, eids, refs)
+
+
+def energy_norm_by_quadrature(mesh, data_points, alpha, u, grad_u, sigma, jac_sigma, degree=5):
+    """Energy norm of a (u, sigma) pair of callables, by located-point quadrature.
+
+    sqrt( sum_i u(x_i)^2 + alpha * |sigma|_{H1}^2 + ||sigma - grad u||_{L2}^2 )
+
+    with the H1 seminorm integrated elementwise. `u` maps points to values,
+    `grad_u` and `sigma` map points to (m, d), `jac_sigma` maps points to
+    (m, d, d) component derivatives. The oracle of `fetps.smoother.energy_norm`.
+    """
+    data_points = np.atleast_2d(np.asarray(data_points, dtype=float))
+    pterm = float(np.sum(np.asarray(u(data_points), dtype=float) ** 2))
+
+    def h1_density(pts):
+        jac = np.asarray(jac_sigma(pts), dtype=float)
+        return (jac ** 2).sum(axis=(1, 2))
+
+    def constraint_density(pts):
+        diff = np.asarray(sigma(pts), dtype=float) - np.asarray(grad_u(pts), dtype=float)
+        return (diff ** 2).sum(axis=1)
+
+    h1 = integrate(mesh, h1_density, degree)
+    cons = integrate(mesh, constraint_density, degree)
+    return float(np.sqrt(max(pterm + alpha * h1 + cons, 0.0)))
+
+
+def smoother_pair_fields(s):
+    """The four field callables of a fitted smoother for energy_norm_by_quadrature."""
+    def u(pts):
+        return s.evaluate(pts)
+
+    def grad_u(pts):
+        return fe_gradient(s.mesh, s.u, pts)
+
+    def sigma(pts):
+        return s.evaluate_gradient(pts)
+
+    def jac_sigma(pts):
+        p = np.atleast_2d(np.asarray(pts, dtype=float))
+        eids, refs = locate_points(s.mesh, p)
+        rows = [
+            fe_gradient_on_elements(s.mesh, s.sigma[k], eids, refs)
+            for k in range(s.mesh.dim)
+        ]
+        return np.stack(rows, axis=1)  # (m, d, d): row k = grad sigma_k
+
+    return u, grad_u, sigma, jac_sigma
 
 
 # -- block-formula oracle of the condensed operator ---------------------------

@@ -121,8 +121,6 @@ def test_nodal_gradients_match_finite_differences(kind, rng):
 def test_make_element_pair_rejects_unknown():
     with pytest.raises(ValueError):
         make_element_pair("pentagon")
-    with pytest.raises(ValueError):
-        make_element_pair("triangle", d=3)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

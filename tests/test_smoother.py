@@ -7,7 +7,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fetps.smoother
-from conftest import SMALL_MESHES, element_patch, fe_value_on_element, small_mesh
+from conftest import (
+    OFFSET_2D,
+    SMALL_MESHES,
+    Box,
+    element_patch,
+    energy_norm_by_quadrature,
+    fe_gradient,
+    fe_gradient_on_elements,
+    fe_value_on_element,
+    integrate,
+    small_mesh,
+    smoother_pair_fields,
+)
 from fetps.assembly import ScatteredData, assemble_system
 from fetps.errors import DataFormatError, SingularSystemError
 from fetps.fields import get_field
@@ -23,7 +35,6 @@ from fetps.smoother import (
     lagrange_interpolate,
     quasi_project,
     quasi_project_gradient,
-    smoother_pair_fields,
 )
 from fetps.study import sample_scattered
 from fetps.system import SolverConfig, recover_auxiliary
@@ -188,7 +199,7 @@ def test_raw_gradient_differs_from_recovered(mesh8, sites):
     data = ScatteredData(sites, np.sin(3 * sites[:, 0]) * sites[:, 1])
     s = fit(data, mesh8, FitConfig(alpha=1e-3))
     pts = np.array([[0.4000001, 0.3333333]])
-    raw = s.evaluate_raw_gradient(pts)
+    raw = fe_gradient(s.mesh, s.u, pts)
     rec = s.evaluate_gradient(pts)
     assert np.abs(raw - rec).max() > 1e-6  # genuinely different fields
 
@@ -272,8 +283,6 @@ def test_lagrange_interpolation(mesh8):
 
 
 def test_lagrange_interpolation_l2_rate(unit_square):
-    from fetps.smoother import integrate
-
     fld = get_field("sin-product", 2)
     errs, hs = [], []
     mesh = build_structured_mesh(unit_square, (8, 8), "simplex")
@@ -295,7 +304,8 @@ def test_energy_norm_zero_pair(mesh8):
     zero_s = lambda p: np.zeros(len(np.atleast_2d(p)))
     zero_v = lambda p: np.zeros((len(np.atleast_2d(p)), 2))
     zero_j = lambda p: np.zeros((len(np.atleast_2d(p)), 2, 2))
-    val = energy_norm(mesh8, np.array([[0.5, 0.5]]), 1.0, zero_s, zero_v, zero_v, zero_j)
+    val = energy_norm_by_quadrature(
+        mesh8, np.array([[0.5, 0.5]]), 1.0, zero_s, zero_v, zero_v, zero_j)
     assert val == 0.0
 
 
@@ -306,7 +316,7 @@ def test_energy_norm_constant_sigma(mesh8):
     zero_v = lambda p: np.zeros((len(np.atleast_2d(p)), 2))
     e1 = lambda p: np.tile([1.0, 0.0], (len(np.atleast_2d(p)), 1))
     zero_j = lambda p: np.zeros((len(np.atleast_2d(p)), 2, 2))
-    val = energy_norm(mesh8, np.zeros((0, 2)), 1.0, zero_s, zero_v, e1, zero_j)
+    val = energy_norm_by_quadrature(mesh8, np.zeros((0, 2)), 1.0, zero_s, zero_v, e1, zero_j)
     assert val == pytest.approx(1.0, abs=1e-12)
 
 
@@ -316,7 +326,7 @@ def test_energy_norm_of_fitted_linear_error(mesh8, sites, rng):
     data = ScatteredData(sites, ell(sites))
     s = fit(data, mesh8, FitConfig(alpha=1e-2), solver=TIGHT)
     u, gu, sg, js = smoother_pair_fields(s)
-    err = energy_norm(
+    err = energy_norm_by_quadrature(
         mesh8, sites, 1e-2,
         lambda p: u(p) - ell(p),
         lambda p: gu(p) - np.tile(coef[1:], (len(np.atleast_2d(p)), 1)),
@@ -333,8 +343,11 @@ def test_energy_identity_via_quadrature(mesh8, sites):
     s = fit(data, mesh8, FitConfig(alpha=alpha), solver=TIGHT)
     algebraic = float(s.u @ (s.reduced.matrix @ s.u))
     u, gu, sg, js = smoother_pair_fields(s)
-    quadrature_norm = energy_norm(mesh8, sites, alpha, u, gu, sg, js, degree=2)
+    quadrature_norm = energy_norm_by_quadrature(mesh8, sites, alpha, u, gu, sg, js, degree=2)
     assert quadrature_norm ** 2 == pytest.approx(algebraic, rel=1e-10)
+    # the block form of the same norm
+    assert energy_norm(mesh8, sites, alpha, s.u, s.sigma) ** 2 == pytest.approx(
+        algebraic, rel=1e-12)
     # and the discrete objective agrees with the energy identity
     J = functional_value(s, data)
     assert J == pytest.approx(-algebraic, rel=1e-8)
@@ -370,6 +383,59 @@ def test_energy_norm_difference_of_nested_fits(unit_square, rng):
     assert same < 1e-10 * max(d, 1.0)
 
 
+NESTED_PAIRS = [
+    ("simplex", Box((4, 4))),
+    ("parallelotope", Box((4, 4))),
+    ("simplex", Box((2, 2, 2))),
+    ("parallelotope", Box((2, 2, 2))),
+    ("simplex", Box((3, 2), **OFFSET_2D)),
+    ("parallelotope", Box((3, 2), **OFFSET_2D)),
+]
+
+
+@pytest.mark.parametrize("kind, box", NESTED_PAIRS)
+def test_energy_norm_difference_matches_quadrature(kind, box, rng):
+    # the block form on the finer mesh equals located-point quadrature of
+    # the four difference fields, which is exact at degree 2 there
+    coarse = small_mesh(kind, box)
+    fine = refine_uniform(coarse)
+    dim = coarse.dim
+    pts = rng.uniform(coarse.domain.lower, coarse.domain.upper, (200, dim))
+    data = ScatteredData(pts, np.sin(3.0 * pts[:, 0]) + pts[:, 1] * pts[:, -1])
+    alpha = 1e-3
+    s1 = fit(data, coarse, FitConfig(alpha), solver=TIGHT)
+    s2 = fit(data, fine, FitConfig(alpha), solver=TIGHT)
+    (uc, guc, sc, jc), (uf, guf, sf, jf) = smoother_pair_fields(s1), smoother_pair_fields(s2)
+    oracle = energy_norm_by_quadrature(
+        fine, pts, alpha,
+        lambda p: uc(p) - uf(p),
+        lambda p: guc(p) - guf(p),
+        lambda p: sc(p) - sf(p),
+        lambda p: jc(p) - jf(p),
+        degree=2,
+    )
+    got = energy_norm_difference(s1, s2, pts, alpha)
+    assert got == pytest.approx(oracle, rel=1e-12)
+    assert energy_norm_difference(s2, s1, pts, alpha) == got
+
+
+def test_energy_norm_difference_rejects_non_nested_meshes(unit_square, rng):
+    pts = rng.uniform(0.0, 1.0, (50, 2))
+    data = ScatteredData(pts, np.cos(2.0 * pts[:, 0]) * pts[:, 1])
+
+    def fitted(domain, cells, kind="simplex"):
+        return fit(data, build_structured_mesh(domain, cells, kind), FitConfig(1e-3))
+
+    base = fitted(unit_square, (8, 8))
+    wider = Domain(np.array([0.0, 0.0]), np.array([1.0, 1.5]))
+    for other in (fitted(unit_square, (12, 12)),
+                  fitted(unit_square, (16, 16), "parallelotope"),
+                  fitted(wider, (16, 16))):
+        for pair in ((base, other), (other, base)):
+            with pytest.raises(ValueError, match="nested"):
+                energy_norm_difference(*pair, pts, 1e-3)
+
+
 def test_qh_l2_stability_bound(unit_square, rng):
     # projection of random piecewise-constant fields stays L2-bounded
     from fetps.mesh import locate_points
@@ -401,8 +467,6 @@ def test_qh_linf_bound(unit_square, rng):
         coeffs = rng.normal(size=mesh.n_vertices)
         rec = quasi_project_gradient(mesh, coeffs)
         # elementwise gradients are constant per simplex
-        from fetps.smoother import fe_gradient_on_elements
-
         centers = mesh.element_origin + np.einsum(
             "ekd,d->ek", mesh.jacobians, np.full(2, 1.0 / 3.0))
         eids = np.arange(mesh.n_elements)
