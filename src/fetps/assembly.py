@@ -39,6 +39,17 @@ test functions: the nodal glue (a 1 per element node) for the nodal tests
 of K, mass and W_k, the dual glue of `dual_basis` for the dual tests of
 B_k and the Gram matrix. A vector of element moments goes through the
 same glue.
+
+Every element of one type has the same local blocks (per-type geometry),
+and a boundary dual reaches two cells inward and no further. So on a
+structured grid a row of K, mass, c, B_k or W_k depends only on its
+vertex's class along each axis: depth 0, 1 or 2 from either side, or
+interior, and `assemble_system` element-assembles them only on a reference
+grid of min(c_k, 6) cells per axis and gives every vertex its reference
+vertex's row (`_reference_tiling`, the one tile map, which
+`system.condense` uses for S_h too). The public `assemble_*` functions
+stay element assembly on the whole mesh: the primitive the tiles copy
+from, and an independent check of them.
 """
 
 import functools
@@ -55,6 +66,11 @@ from .mesh import Domain, build_structured_mesh, locate_points
 # Exact for every reference tensor: the integrands are products of two
 # (multi)linear functions or their gradients.
 QUAD_DEGREE = 2
+
+# Cells per axis of the reference grid: vertex 3 of 0..6 lies at depth 3
+# from both sides, so the grid holds every row class of the mesh-only
+# blocks and of the condensed operator.
+REFERENCE_CELLS = 6
 
 
 @dataclass(frozen=True)
@@ -306,15 +322,72 @@ def _grad_coupling(mesh, basis, glue):
     )
 
 
-def _mesh_blocks(mesh):
-    """K, mass, c, B and W of a mesh, with each glue built once.
-
-    Bit for bit the blocks of the public `assemble_*` functions, which
-    build their glue per call.
-    """
+def _element_blocks(mesh):
+    """K, mass, c, B and W of the whole mesh, each glue built once."""
     nodal, dual = _nodal_glue(mesh), dual_basis(mesh)
     return (_stiffness(mesh, nodal), _mass(mesh, nodal), _gram_diagonal(mesh, dual),
             _grad_coupling(mesh, "mu", dual), _grad_coupling(mesh, "phi", nodal))
+
+
+def _reference_tiling(mesh):
+    """The mesh's reference grid, and the map that tiles its rows onto the mesh.
+
+    The reference grid has min(c_k, 6) cells per axis, the mesh's kind and
+    its cell widths. Along each axis the reference vertex of grid index g is
+    g within 2 of the lower side, 3 inside, and g - (c - 6) within 2 of the
+    upper side; an axis of c <= 6 cells is its own reference.
+
+    Returns (ref, tile). tile(a) gives every mesh vertex the row of its
+    reference vertex: a gather for a vector over the reference vertices,
+    and for a reference CSR matrix the reference row with its columns moved
+    by the real grid's strides.
+    """
+    cells = np.asarray(mesh.cells_per_axis)
+    ref_cells = np.minimum(cells, REFERENCE_CELLS)
+    extents = mesh.domain.extents
+    # an axis that is its own reference keeps its extent, so its width is exact
+    ref_extents = np.where(ref_cells == cells, extents, ref_cells * (extents / cells))
+    ref = build_structured_mesh(Domain(np.zeros(mesh.dim), ref_extents), ref_cells, mesh.kind)
+    shape, ref_shape, mid = cells + 1, ref_cells + 1, REFERENCE_CELLS // 2
+    axes = [np.where(g < mid, g, np.maximum(mid, g - (c - rc)))
+            for g, c, rc in zip(map(np.arange, shape), cells, ref_cells)]
+    ref_of = np.ravel_multi_index(np.meshgrid(*axes, indexing="ij"), ref_shape).ravel()
+    ref_index = np.stack(np.unravel_index(np.arange(ref.n_vertices), ref_shape), axis=1)
+    strides = np.cumprod(np.r_[1, shape[:0:-1]])[::-1]
+    n = mesh.n_vertices
+
+    def tile(a):
+        if not sp.issparse(a):
+            return a[ref_of]
+        # column offset of each reference entry from its row, in real strides
+        ref_row = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+        offset = (ref_index[a.indices] - ref_index[ref_row]) @ strides
+        # entry k of real row i is entry k of its reference row; summed in
+        # place, since a fresh nnz-sized temporary costs more than the sum
+        counts = np.diff(a.indptr)[ref_of]
+        indptr = np.concatenate([[0], np.cumsum(counts)])
+        entry = np.repeat(a.indptr[ref_of] - indptr[:-1], counts)
+        entry += np.arange(indptr[-1])
+        indices = offset[entry]
+        indices += np.repeat(np.arange(n), counts)
+        return sp.csr_matrix((a.data[entry], indices, indptr), shape=(n, n))
+
+    return ref, tile
+
+
+def _mesh_blocks(mesh):
+    """K, mass, c, B and W of a mesh, tiled from its reference grid.
+
+    On a mesh that is its own reference grid they are bit for bit the
+    public `assemble_*` blocks. A wider axis gets the reference extent
+    6 (extent / c), whose cell width can round, so elsewhere they agree
+    with the whole-mesh assembly up to that rounding (bit for bit on the
+    128^2 simplex and 16^3 hex grids).
+    """
+    ref, tile = _reference_tiling(mesh)
+    K, mass, c, B, W = _element_blocks(ref)
+    return (tile(K), tile(mass), tile(c),
+            tuple(map(tile, B)), tuple(map(tile, W)))
 
 
 def assemble_stiffness(mesh):

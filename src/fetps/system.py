@@ -27,7 +27,8 @@ on a reference grid of min(c_k, 6) cells per axis with the mesh's own cell
 widths, which holds a vertex of every class, and copies the row of each
 vertex's class to every vertex, its columns moved by the real grid's
 strides. Up to the rounding of the reference widths, that is the formula
-on the whole mesh.
+on the whole mesh. The grid and the row copy are `assembly._reference_tiling`,
+the one tile map of the package, which builds the mesh-only blocks too.
 
 The alpha-term A = sum_k G_k^T K G_k and the rest of S_h vanish on the
 affine functions Z (for affine z, G_k z is the constant d_k z), so S Z = R Z
@@ -43,15 +44,10 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .assembly import _mesh_blocks
+from .assembly import _element_blocks, _reference_tiling
 from .errors import NoConvergenceError, SingularSystemError
-from .mesh import Domain, build_structured_mesh
 
 STABILIZATION_R = 1.0
-
-# Cells per axis of the reference grid: vertex 3 of 0..6 lies at depth 3
-# from both sides, so the grid holds every row class of S_h.
-REFERENCE_CELLS = 6
 
 
 @dataclass(frozen=True)
@@ -123,7 +119,8 @@ def condense(blocks, alpha, r=STABILIZATION_R):
         raise ValueError(f"alpha must be finite and positive, got {alpha}")
     if np.any(blocks.gram_diag <= 0):
         raise SingularSystemError("Gram diagonal has a nonpositive entry")
-    S = blocks.R + _tiled_operator(blocks.mesh, alpha, r)
+    ref, tile = _reference_tiling(blocks.mesh)
+    S = blocks.R + tile(_reference_operator(ref, alpha, r))
     # the sum was built in a buffer of nnz(R) + nnz(S_h) entries; keep nnz
     nnz = S.nnz
     S = sp.csr_matrix((S.data[:nnz].copy(), S.indices[:nnz].copy(), S.indptr), S.shape)
@@ -153,46 +150,12 @@ def condense(blocks, alpha, r=STABILIZATION_R):
 
 def _reference_operator(mesh, alpha, r):
     """S_h = T + T^T (module docstring) of the mesh's blocks, with R = 0."""
-    K, mass, c, B, W = _mesh_blocks(mesh)
+    K, mass, c, B, W = _element_blocks(mesh)
     G = [sp.csr_matrix(Bk.multiply((1.0 / c)[:, None])) for Bk in B]
     half_inner = 0.5 * (alpha * K + r * mass)
     V = sp.vstack([half_inner @ Gk - r * Wk for Gk, Wk in zip(G, W)], format="csr")
     T = 0.5 * r * K + sp.vstack(G, format="csr").T @ V
     return (T + T.T).tocsr()
-
-
-def _tiled_operator(mesh, alpha, r):
-    """S_h of the mesh, its rows copied from the reference grid's S_h.
-
-    Along each axis the reference vertex of grid index g is g within 2 of
-    the lower side, 3 inside, and g - (c - 6) within 2 of the upper side;
-    an axis of c <= 6 cells is its own reference.
-    """
-    cells = np.asarray(mesh.cells_per_axis)
-    ref_cells = np.minimum(cells, REFERENCE_CELLS)
-    extents = mesh.domain.extents
-    # an axis that is its own reference keeps its extent, so its width is exact
-    ref_extents = np.where(ref_cells == cells, extents, ref_cells * (extents / cells))
-    ref = _reference_operator(
-        build_structured_mesh(Domain(np.zeros(mesh.dim), ref_extents), ref_cells, mesh.kind),
-        alpha, r)
-    shape, ref_shape, mid = cells + 1, ref_cells + 1, REFERENCE_CELLS // 2
-    axes = [np.where(g < mid, g, np.maximum(mid, g - (c - rc)))
-            for g, c, rc in zip(map(np.arange, shape), cells, ref_cells)]
-    ref_of = np.ravel_multi_index(np.meshgrid(*axes, indexing="ij"), ref_shape).ravel()
-    # column offset of each reference entry from its row, in real strides
-    ref_index = np.stack(np.unravel_index(np.arange(ref.shape[0]), ref_shape), axis=1)
-    ref_row = np.repeat(np.arange(ref.shape[0]), np.diff(ref.indptr))
-    strides = np.cumprod(np.r_[1, shape[:0:-1]])[::-1]
-    offset = (ref_index[ref.indices] - ref_index[ref_row]) @ strides
-
-    # entry k of real row i is entry k of its reference row
-    counts = np.diff(ref.indptr)[ref_of]
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    entry = np.arange(indptr[-1]) + np.repeat(ref.indptr[ref_of] - indptr[:-1], counts)
-    rows = np.repeat(np.arange(mesh.n_vertices), counts)
-    return sp.csr_matrix((ref.data[entry], rows + offset[entry], indptr),
-                         shape=(mesh.n_vertices, mesh.n_vertices))
 
 
 def solve_reduced(op, f, cfg=None, return_stats=False):

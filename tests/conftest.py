@@ -5,7 +5,13 @@ import pytest
 import scipy.sparse as sp
 
 import fetps.smoother
-from fetps.assembly import assemble_gram_full
+from fetps.assembly import (
+    assemble_grad_coupling,
+    assemble_gram_diagonal,
+    assemble_gram_full,
+    assemble_mass,
+    assemble_stiffness,
+)
 from fetps.elements import quadrature
 from fetps.errors import SingularSystemError
 from fetps.mesh import Domain, build_structured_mesh, locate_points
@@ -67,6 +73,18 @@ SMALL_MESHES = [
     ("parallelotope", Box((3, 2), **OFFSET_2D)),
     ("simplex", Box((1, 2, 1), **OFFSET_3D)),
     ("parallelotope", Box((1, 2, 1), **OFFSET_3D)),
+]
+
+
+# Boxes wider than the 6-cell reference grid of `assembly._reference_tiling`
+# on some axis: 6 cells on an axis is the reference grid itself; 7, 8 and
+# 13 are tiled from it.
+TILED_MESHES = [
+    ("simplex", Box((6, 13))),
+    ("parallelotope", Box((13, 7))),
+    ("parallelotope", Box((8, 13), **OFFSET_2D)),
+    ("simplex", Box((7, 2, 8))),
+    ("parallelotope", Box((6, 8, 7), **OFFSET_3D)),
 ]
 
 
@@ -257,18 +275,28 @@ def smoother_pair_fields(s):
 
 # -- block-formula oracle of the condensed operator ---------------------------
 
-def condensed_block_formula(blocks, alpha, r=STABILIZATION_R):
+def whole_mesh_blocks(mesh):
+    """K, mass, c, B and W from the public per-block functions.
+
+    Each is element-assembled on the whole mesh, not tiled from a reference
+    grid: an independent oracle for the blocks of `assemble_system`.
+    """
+    return (assemble_stiffness(mesh), assemble_mass(mesh), assemble_gram_diagonal(mesh),
+            assemble_grad_coupling(mesh, "dual"), assemble_grad_coupling(mesh, "primal"))
+
+
+def condensed_block_formula(mesh, alpha, r=STABILIZATION_R):
     """S_h = T + T^T of the whole mesh's blocks, with R = 0, as sparse products.
 
     T = rK/2 + G_k^T V_k, V_k = (alpha K + rM) G_k/2 - r W_k, G_k = D^-1 B_k
     (see `fetps.system`): the data-free part of the reduced operator,
-    formed on the full mesh rather than tiled from a reference grid.
+    formed from `whole_mesh_blocks` rather than tiled from a reference grid.
     """
-    dinv = 1.0 / blocks.gram_diag
-    G = [sp.csr_matrix(Bk.multiply(dinv[:, None])) for Bk in blocks.B]
-    half_inner = 0.5 * (alpha * blocks.K + r * blocks.mass)
-    V = sp.vstack([half_inner @ Gk - r * Wk for Gk, Wk in zip(G, blocks.W)], format="csr")
-    T = 0.5 * r * blocks.K + sp.vstack(G, format="csr").T @ V
+    K, mass, c, B, W = whole_mesh_blocks(mesh)
+    G = [sp.csr_matrix(Bk.multiply((1.0 / c)[:, None])) for Bk in B]
+    half_inner = 0.5 * (alpha * K + r * mass)
+    V = sp.vstack([half_inner @ Gk - r * Wk for Gk, Wk in zip(G, W)], format="csr")
+    T = 0.5 * r * K + sp.vstack(G, format="csr").T @ V
     return (T + T.T).tocsr()
 
 

@@ -10,6 +10,7 @@ import fetps.smoother
 from conftest import (
     OFFSET_2D,
     SMALL_MESHES,
+    TILED_MESHES,
     Box,
     element_patch,
     energy_norm_by_quadrature,
@@ -19,8 +20,15 @@ from conftest import (
     integrate,
     small_mesh,
     smoother_pair_fields,
+    whole_mesh_blocks,
 )
-from fetps.assembly import ScatteredData, assemble_system
+from fetps.assembly import (
+    ScatteredData,
+    SystemBlocks,
+    assemble_data_term,
+    assemble_system,
+    evaluation_matrix,
+)
 from fetps.errors import DataFormatError, SingularSystemError
 from fetps.fields import get_field
 from fetps.mesh import Domain, build_structured_mesh, refine_uniform
@@ -37,7 +45,7 @@ from fetps.smoother import (
     quasi_project_gradient,
 )
 from fetps.study import sample_scattered
-from fetps.system import SolverConfig, recover_auxiliary
+from fetps.system import SolverConfig, condense, recover_auxiliary, solve_reduced
 
 TIGHT = SolverConfig(rtol=1e-13)
 
@@ -164,6 +172,25 @@ def test_fit_is_invariant_to_translating_the_domain(mesh8, sites, alpha):
         t = fit(ScatteredData(sites + shift, zs),
                 build_structured_mesh(moved, (8, 8), "simplex"), FitConfig(alpha=alpha))
     assert np.abs(s.u - t.u).max() <= 1e-9
+
+
+@pytest.mark.parametrize("kind,box", TILED_MESHES)
+def test_fit_matches_the_solve_on_whole_mesh_blocks(kind, box, rng):
+    # u depends only on R, f and the tiled S, so it is bit for bit that of
+    # the blocks element-assembled on the whole mesh; sigma and phi are
+    # recovered from the blocks, which agree up to rounding
+    mesh = small_mesh(kind, box)
+    pts = mesh.domain.lower + mesh.domain.extents * rng.uniform(0.0, 1.0, (200, mesh.dim))
+    data = ScatteredData(pts, np.sin(3.0 * pts[:, 0]) + pts[:, -1] ** 2)
+    alpha = 1e-3
+    s = fit(data, mesh, FitConfig(alpha))
+    P = evaluation_matrix(mesh, data.points)
+    R, f = assemble_data_term(P, data.values)
+    blocks = SystemBlocks(mesh, *whole_mesh_blocks(mesh), P, R, f)
+    triple = recover_auxiliary(blocks, solve_reduced(condense(blocks, alpha), f), alpha)
+    assert np.array_equal(s.u, triple.u)
+    for ours, whole in ((s.sigma, triple.sigma), (s.phi, triple.phi)):
+        assert np.abs(ours - whole).max() <= 1e-12 * np.abs(whole).max()
 
 
 def test_evaluate_at_vertices_returns_coefficients(mesh8, sites, rng):

@@ -5,6 +5,7 @@ from conftest import (
     OFFSET_2D,
     OFFSET_3D,
     SMALL_MESHES,
+    TILED_MESHES,
     Box,
     assert_biorthogonal,
     condensed_block_formula,
@@ -37,15 +38,6 @@ CONDENSE_MESHES = SMALL_MESHES + [
     ("parallelotope", Box((7, 8))),
     ("simplex", Box((7, 2, 8), **OFFSET_3D)),
     ("parallelotope", Box((8, 1, 7))),
-]
-
-# 6 cells on an axis is the reference grid itself; 7, 8 and 13 are tiled
-TILED_MESHES = [
-    ("simplex", Box((6, 13))),
-    ("parallelotope", Box((13, 7))),
-    ("parallelotope", Box((8, 13), **OFFSET_2D)),
-    ("simplex", Box((7, 2, 8))),
-    ("parallelotope", Box((6, 8, 7), **OFFSET_3D)),
 ]
 CONDENSE_ALPHAS = ALPHAS + (1e6,)
 
@@ -123,7 +115,7 @@ def test_tiled_condense_matches_block_formula(kind, box, rng):
     for alpha in (1e-4, 1.0, 1e6):
         for r in (1.0, 2.0):
             S = condense(blocks, alpha, r).matrix
-            oracle = condensed_block_formula(blocks, alpha, r)
+            oracle = condensed_block_formula(blocks.mesh, alpha, r)
             gap = np.abs((S - blocks.R - oracle).toarray()).max()
             assert gap <= 1e-14 * np.abs(S.data).max(), (alpha, r, gap)
             assert S.nnz == (blocks.R + oracle).nnz
