@@ -32,7 +32,6 @@ from .mesh import (
     Mesh,
     build_structured_mesh,
     locate_points,
-    mesh_from_dict,
     mesh_to_dict,
     refine_uniform,
 )

@@ -16,9 +16,9 @@ mass stand in for their d diagonal blocks.
 
 Every element is an affine image of its reference cell, so each local block
 is a reference-cell tensor, integrated with the reference rule, contracted
-with the element's det J (and J^-1 where a gradient enters), for example
+with its type's det J (and J^-1 where a gradient enters), for example
 
-    K_e[i, j] = ref[i, j, m, n] (det J J^-1 J^-T)_e[m, n],
+    K_e[i, j] = ref[i, j, m, n] (det J J^-1 J^-T)_t[m, n],  t the type of e,
     ref[i, j, m, n] = int dphi_i/dxhat_m dphi_j/dxhat_n
 
 (the reference-tensor form of Kirby & Logg, ACM TOMS 2006).
@@ -118,12 +118,13 @@ class ScatteredData:
 
 
 def _element_matrices(mesh, test, trial, geometry=None):
-    """Local matrices A[e, i, j] = ref[i, j, s, t] * geometry[e, s, t].
+    """Local matrices A[e, i, j] = ref[i, j, s, t] * geometry[type of e, s, t].
 
     ref[i, j, s, t] = int test[i, s] trial[j, t] over the reference cell, for
     the bases 'phi' and 'mu' (s = 1) or 'grad', the reference gradient of phi
-    (s = d). `geometry` holds each element's affine factors; it defaults to
-    det J.
+    (s = d). `geometry` holds the affine factors of each element type; it
+    defaults to det J. The contraction runs once per type, and
+    `mesh.per_element` repeats its blocks over the elements.
     """
     if np.any(mesh.det_jacobians <= 0):
         raise ValueError("mesh contains a degenerate element")
@@ -137,7 +138,7 @@ def _element_matrices(mesh, test, trial, geometry=None):
         geometry = mesh.det_jacobians
     nl = ref.shape[0]
     flat = geometry.reshape(len(geometry), -1) @ ref.reshape(nl * nl, -1).T
-    return flat.reshape(-1, nl, nl)
+    return mesh.per_element(flat.reshape(-1, nl, nl))
 
 
 def _rows(cols, vals, n_cols):
@@ -228,12 +229,8 @@ def _class_weights(kind, dim):
     the rows of beta in `mesh.cell_elements` order of the offset cells.
     """
     ref = build_structured_mesh(Domain(np.zeros(dim), np.full(dim, 3.0)), (3,) * dim, kind)
-    det_invj = ref.det_jacobians[:, None, None] * ref.inv_jacobians
     gram = _element_matrices(ref, "mu", "phi")
-    grad = np.stack([
-        _element_matrices(ref, "mu", "grad", det_invj[:, :, k])
-        for k in range(dim)
-    ])
+    grad = np.stack(_grad_matrices(ref, "mu"))
     table = {}
     for sides in itertools.product(range(3), repeat=dim):
         if all(s == 1 for s in sides):
@@ -313,13 +310,15 @@ def _gram_diagonal(mesh, dual):
     return diag
 
 
-def _grad_coupling(mesh, basis, glue):
+def _grad_matrices(mesh, basis):
+    """Local matrices of int d_k phi_j m_i, m = phi or mu, one per component k."""
     # d_k phi_j = dphi_j/dxhat_m (J^-1)[m, k]
     det_invj = mesh.det_jacobians[:, None, None] * mesh.inv_jacobians
-    return tuple(
-        glue @ _element_rows(mesh, _element_matrices(mesh, basis, "grad", det_invj[:, :, k]))
-        for k in range(mesh.dim)
-    )
+    return [_element_matrices(mesh, basis, "grad", det_invj[:, :, k]) for k in range(mesh.dim)]
+
+
+def _grad_coupling(mesh, basis, glue):
+    return tuple(glue @ _element_rows(mesh, local) for local in _grad_matrices(mesh, basis))
 
 
 def _element_blocks(mesh):
@@ -436,12 +435,10 @@ def evaluation_matrix(mesh, points):
     """Sparse N x n matrix of nodal basis values at the given points.
 
     Row i holds the basis values of the element containing x_i at that
-    element's vertices, so (P u)_i = u_h(x_i). Accepts a ScatteredData or a
-    raw point array. Points on element interfaces use the smallest
-    containing element id, which fixes the assembly deterministically.
+    element's vertices, so (P u)_i = u_h(x_i). Points on element interfaces
+    use the smallest containing element id, which fixes the assembly
+    deterministically.
     """
-    if isinstance(points, ScatteredData):
-        points = points.points
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     eids, refs = locate_points(mesh, pts)
     return _rows(mesh.elements[eids], mesh.element_pair.nodal_eval(refs), mesh.n_vertices)

@@ -1,15 +1,17 @@
 """Command-line front end: fit, eval, study, synth.
 
-All commands print one machine-readable JSON object to stdout and human
-readable progress/tables to stderr. Exit codes: 0 ok, 2 input error,
-3 domain error, 4 solver failure. To cap the worker threads of the
-numerical backend, set OMP_NUM_THREADS / OPENBLAS_NUM_THREADS before
-launching; numpy reads them once, when it is first imported.
+All commands print one machine-readable JSON object to stdout (usage
+errors too; only --help prints none) and human readable progress/tables
+to stderr. Exit codes: 0 ok, 2 input error, 3 domain error, 4 solver
+failure. To cap the worker threads of the numerical backend, set
+OMP_NUM_THREADS / OPENBLAS_NUM_THREADS before launching; numpy reads
+them once, when it is first imported.
 """
 
 import argparse
 import csv
 import json
+import re
 import sys
 import warnings
 
@@ -287,8 +289,28 @@ def cmd_synth(args):
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors, so `main` reports them as input errors in JSON."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise DataFormatError(f"{self.prog}: {message}")
+
+
+def _attach_dash_values(argv):
+    """`--opt -1,2` as `--opt=-1,2`: argparse takes a token that starts with
+    a minus for an option unless it is a plain negative number."""
+    out = []
+    for tok in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and re.match(r"-\.?\d", tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fetps",
         description="Thin plate spline smoothing of scattered data on finite element meshes",
     )
@@ -335,9 +357,9 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = _attach_dash_values(sys.argv[1:] if argv is None else argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except OutOfDomainError as exc:
         return _fail(

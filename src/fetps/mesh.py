@@ -5,8 +5,11 @@ tensor grid of cells. Every cell is split the same way, by one cell
 pattern: parallelotope meshes keep the grid cells; simplex meshes split
 each cell into 2 triangles (2D) or 6 tetrahedra (3D, Kuhn split). Elements
 of the same pattern entry (type) are translates of each other, so the
-geometry is computed once per type. All element maps are affine:
-x = origin_T + J_T @ xhat, with xhat in the unit simplex or in (-1, 1)^d.
+geometry is computed and stored once per type: element e has type
+e mod T, T the number of elements per cell. All element maps are affine,
+measured from the element's first vertex: x = x_e0 + J_t (xhat - xhat_0),
+with xhat in the unit simplex or in (-1, 1)^d and xhat_0 the reference
+node of that vertex.
 
 Meshes are immutable after construction and safe to share across threads.
 """
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import CELL_VOLUMES, make_element_pair
+from .elements import make_element_pair
 from .errors import DataFormatError, OutOfDomainError
 
 KINDS = ("simplex", "parallelotope")
@@ -53,10 +56,6 @@ class Domain:
     def extents(self):
         return self.upper - self.lower
 
-    @property
-    def volume(self):
-        return float(np.prod(self.extents))
-
 
 def _axis_orders(dim):
     """Axis orders of the Kuhn simplices of a cell, in element order."""
@@ -88,9 +87,9 @@ class Mesh:
     """Structured mesh of a grid over a box, with per-type affine geometry.
 
     Cell c of the grid (flat in C order) owns the elements
-    c * per_cell .. c * per_cell + per_cell - 1, one per entry of the cell
-    pattern; `cell_elements` gives those ids. The per-element geometry
-    arrays index a table of the per_cell element types (1, 2 or 6).
+    c * T .. c * T + T - 1, one per entry of the cell pattern of T = 1, 2
+    or 6 element types; `cell_elements` gives those ids. The geometry is a
+    table with one row per type; `per_element` gives an element's row.
 
     Attributes
     ----------
@@ -101,10 +100,9 @@ class Mesh:
         Reference cell name: 'triangle', 'tet', 'quad' or 'hex'.
     vertices : ndarray (n_vertices, dim)
     elements : ndarray (n_elements, n_loc) int
-    jacobians, inv_jacobians : ndarray (n_elements, dim, dim)
-    det_jacobians, volumes : ndarray (n_elements,)
-    element_origin : ndarray (n_elements, dim)
-        The image of the reference point 0.
+    jacobians, inv_jacobians : ndarray (T, dim, dim)
+        J_t and its inverse for each element type t.
+    det_jacobians : ndarray (T,)
     h : float
         Max element diameter: the diagonal of a grid cell, which every
         element of the grid spans (a cell, or a simplex holding its main
@@ -147,17 +145,11 @@ class Mesh:
             unit = (pattern[:, 1:] - pattern[:, :1]).swapaxes(1, 2)
         else:
             unit = np.eye(d)[None] / 2.0
-        jac = width[:, None] * unit
-        det = np.linalg.det(jac)
-        types = np.tile(np.arange(self._per_cell), len(base))
-        self.jacobians = jac[types]
-        self.inv_jacobians = np.linalg.inv(jac)[types]
-        self.det_jacobians = det[types]
-        self.volumes = (det * CELL_VOLUMES[self.cell_kind])[types]
-        self.element_origin = (self.vertices[self.elements[:, 0]]
-                               - (jac @ self._pair.nodes[0])[types])
-        for arr in (self.vertices, self.elements, self.element_origin, self.jacobians,
-                    self.inv_jacobians, self.det_jacobians, self.volumes):
+        self.jacobians = width[:, None] * unit
+        self.inv_jacobians = np.linalg.inv(self.jacobians)
+        self.det_jacobians = np.linalg.det(self.jacobians)
+        for arr in (self.vertices, self.elements, self.jacobians,
+                    self.inv_jacobians, self.det_jacobians):
             arr.setflags(write=False)
 
     # -- queries ---------------------------------------------------------
@@ -176,20 +168,18 @@ class Mesh:
         # summed with the cells on the last axis, which numpy loops over fastest
         return np.moveaxis(np.add.outer(np.arange(self._per_cell), first), 0, -1)
 
-    def map_to_physical(self, elem_ids, ref_points):
-        """F_T(xhat) for per-point element ids; both arrays length m."""
-        eid = np.asarray(elem_ids, dtype=np.int64)
-        ref = np.atleast_2d(np.asarray(ref_points, dtype=float))
-        return self.element_origin[eid] + np.einsum(
-            "mkd,md->mk", self.jacobians[eid], ref
-        )
+    def per_element(self, table, elem_ids=None):
+        """Rows of a per-type table (T, ...) for every element, or for elem_ids."""
+        eid = np.arange(self.n_elements) if elem_ids is None else np.asarray(elem_ids)
+        return table[eid % self._per_cell]
 
     def map_to_reference(self, elem_ids, points):
-        """Inverse affine map, per-point element ids."""
+        """xhat_0 + J_t^-1 (x - x_e0) for per-point element ids."""
         eid = np.asarray(elem_ids, dtype=np.int64)
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.einsum(
-            "mdk,mk->md", self.inv_jacobians[eid], pts - self.element_origin[eid]
+        first = self.vertices[self.elements[eid, 0]]
+        return self._pair.nodes[0] + np.einsum(
+            "mdk,mk->md", self.per_element(self.inv_jacobians, eid), pts - first
         )
 
     def __repr__(self):
@@ -287,7 +277,7 @@ def mesh_to_dict(mesh):
     """JSON-ready description of the structured grid: kind, dim, domain, cells.
 
     The grid fixes the mesh, so no vertices or elements are stored;
-    `mesh_from_dict` rebuilds them with `build_structured_mesh`.
+    `build_structured_mesh(*grid_from_dict(d))` rebuilds them.
     """
     return {
         "kind": mesh.kind,
@@ -332,8 +322,3 @@ def grid_from_dict(data):
             f"mesh cells_per_axis must hold {dim} integers >= 1, got {cells!r}"
         )
     return Domain(lower, upper), tuple(cells), kind
-
-
-def mesh_from_dict(data):
-    """Rebuild the mesh of a `mesh_to_dict` description (see `grid_from_dict`)."""
-    return build_structured_mesh(*grid_from_dict(data))

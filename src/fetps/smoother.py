@@ -205,8 +205,6 @@ def fit(data, mesh, cfg, solver=None):
     or below the solver's rtol; the smoother's `residual` then says by how
     much.
     """
-    if not isinstance(cfg, FitConfig):
-        cfg = FitConfig(alpha=float(cfg))
     solver = solver or SolverConfig()
     if not data.admissible():
         raise SingularSystemError(
@@ -264,12 +262,13 @@ def _fe_values(mesh, coeff_rows, points):
 def element_quadrature(mesh, degree):
     """A reference rule mapped to every element.
 
-    Returns the rule, the physical points (e, q, d) and the weights
-    w_q * det J_e, shape (e, q).
+    Returns the rule, the physical points x_e0 + J_t (xhat_q - xhat_0),
+    shape (e, q, d), and the weights w_q * det J_t, shape (e, q).
     """
     rule = quadrature(mesh.cell_kind, degree)
-    points = mesh.element_origin[:, None, :] + rule.points @ mesh.jacobians.transpose(0, 2, 1)
-    weights = rule.weights[None, :] * mesh.det_jacobians[:, None]
+    offsets = (rule.points - mesh.element_pair.nodes[0]) @ mesh.jacobians.transpose(0, 2, 1)
+    points = mesh.vertices[mesh.elements[:, :1]] + mesh.per_element(offsets)
+    weights = mesh.per_element(rule.weights * mesh.det_jacobians[:, None])
     return rule, points, weights
 
 
@@ -284,7 +283,7 @@ def fe_at_quadrature(mesh, coeffs, rule):
     local = np.asarray(coeffs, dtype=float)[..., mesh.elements]  # (..., e, nl)
     values = local @ pair.nodal_eval(rule.points).T
     ref_grads = np.einsum("...ei,qim->...eqm", local, pair.nodal_grad(rule.points))
-    return values, ref_grads @ mesh.inv_jacobians
+    return values, ref_grads @ mesh.per_element(mesh.inv_jacobians)
 
 
 # -- quasi-projection and interpolation -------------------------------------

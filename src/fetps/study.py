@@ -31,7 +31,6 @@ from .smoother import (
     quasi_project,
     quasi_project_gradient,
 )
-from .system import SolverConfig
 
 ALL_COLUMNS = ("superconvergence", "qh_l2", "qh_h1", "fit_energy")
 STUDY_QUAD_DEGREE = 7
@@ -72,21 +71,21 @@ class StudyRow:
     orders: dict = field(default_factory=dict)
 
 
-def superconvergence_error(mesh, fld, degree=STUDY_QUAD_DEGREE):
+def superconvergence_error(mesh, fld):
     """L2 distance between the analytic gradient and the recovered
     gradient of the vertex interpolant."""
     rec = quasi_project_gradient(mesh, lagrange_interpolate(mesh, fld.value))
-    rule, points, weights = element_quadrature(mesh, degree)
+    rule, points, weights = element_quadrature(mesh, STUDY_QUAD_DEGREE)
     exact = np.asarray(fld.gradient(points.reshape(-1, mesh.dim))).T
     rec_at, _ = fe_at_quadrature(mesh, rec, rule)  # (d, e, q)
     diff2 = ((exact.reshape(rec_at.shape) - rec_at) ** 2).sum(axis=0)
     return float(np.sqrt(np.sum(weights * diff2)))
 
 
-def quasi_projection_errors(mesh, fld, degree=STUDY_QUAD_DEGREE):
+def quasi_projection_errors(mesh, fld):
     """(L2, H1) errors of the dual-moment projection of the field."""
-    q = quasi_project(mesh, fld.value, degree=degree)
-    rule, points, weights = element_quadrature(mesh, degree)
+    q = quasi_project(mesh, fld.value, degree=STUDY_QUAD_DEGREE)
+    rule, points, weights = element_quadrature(mesh, STUDY_QUAD_DEGREE)
     flat = points.reshape(-1, mesh.dim)
     qvals, qgrads = fe_at_quadrature(mesh, q, rule)
     uvals = np.asarray(fld.value(flat)).reshape(qvals.shape)
@@ -132,7 +131,7 @@ def ls_order(hs, errors):
     return float(np.polyfit(np.log(np.array(hs)), np.log(np.array(es)), 1)[0])
 
 
-def run_study(config, solver=None, on_row=None):
+def run_study(config, on_row=None):
     """Run every requested column across refinement levels.
 
     Returns the row list; `on_row(row)` fires as each level completes so a
@@ -151,7 +150,6 @@ def run_study(config, solver=None, on_row=None):
     data = None
     if want_fit:
         data = sample_scattered(fld, config.domain, config.n_data, config.seed)
-    solver = solver or SolverConfig()
 
     rows = [StudyRow(level=i, h=m.h) for i, m in enumerate(meshes)]
     smoothers = []
@@ -166,7 +164,7 @@ def run_study(config, solver=None, on_row=None):
             if "qh_h1" in config.columns:
                 row.errors["qh_h1"] = h1
         if want_fit:
-            smoothers.append(fit(data, m, FitConfig(config.alpha), solver=solver))
+            smoothers.append(fit(data, m, FitConfig(config.alpha)))
             if i > 0:
                 row.errors["fit_energy"] = energy_norm_difference(
                     smoothers[i - 1], smoothers[i], data.points, config.alpha

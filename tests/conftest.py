@@ -12,7 +12,7 @@ from fetps.assembly import (
     assemble_mass,
     assemble_stiffness,
 )
-from fetps.elements import quadrature
+from fetps.elements import CELL_VOLUMES, quadrature
 from fetps.errors import SingularSystemError
 from fetps.mesh import Domain, build_structured_mesh, locate_points
 from fetps.smoother import element_quadrature
@@ -115,6 +115,20 @@ def element_patch(mesh, eid):
     return Patch(center=int(eid), members=tuple(members.tolist()))
 
 
+def map_to_physical(mesh, elem_ids, ref_points):
+    """x_e0 + J_t (xhat - xhat_0) for per-point element ids; both arrays length m."""
+    eid = np.asarray(elem_ids, dtype=np.int64)
+    ref = np.atleast_2d(np.asarray(ref_points, dtype=float))
+    return mesh.vertices[mesh.elements[eid, 0]] + np.einsum(
+        "mkd,md->mk", mesh.per_element(mesh.jacobians, eid), ref - mesh.element_pair.nodes[0]
+    )
+
+
+def element_volumes(mesh):
+    """Volume of every element: det J_t times the reference cell's volume."""
+    return mesh.per_element(mesh.det_jacobians * CELL_VOLUMES[mesh.cell_kind])
+
+
 def fe_value_on_element(mesh, coeffs, eid, points):
     """Evaluate the FE function restricted to one element (closure included)."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -153,15 +167,14 @@ def brute_force_matrix(mesh, kernel, degree=4, dual=None):
                 (int(row), float(weight))
                 for row, weight in zip(cols.indices[span], cols.data[span])
             ]
+    det, invj = mesh.per_element(mesh.det_jacobians), mesh.per_element(mesh.inv_jacobians)
     for e in range(mesh.n_elements):
-        det = mesh.det_jacobians[e]
-        invj = mesh.inv_jacobians[e]
-        xq = mesh.element_origin[e] + rule.points @ mesh.jacobians[e].T
-        grad = np.einsum("qim,mk->qik", dphi, invj)
+        xq = map_to_physical(mesh, np.full(len(rule.points), e), rule.points)
+        grad = np.einsum("qim,mk->qik", dphi, invj[e])
         conn = mesh.elements[e]
         for i in range(pair.n_loc):
             for j in range(pair.n_loc):
-                val = det * float(rule.weights @ kernel(i, j, xq, phi, grad, mu))
+                val = det[e] * float(rule.weights @ kernel(i, j, xq, phi, grad, mu))
                 for row, weight in test_rows.get((e, i), ()):
                     out[row, conn[j]] += weight * val
     return out
@@ -214,7 +227,7 @@ def fe_gradient_on_elements(mesh, coeffs, eids, refs):
     """Broken gradient of an FE function at reference points of given elements."""
     grads = mesh.element_pair.nodal_grad(np.atleast_2d(refs))  # (m, nl, dref)
     # physical gradient: invJ^T action
-    phys = np.einsum("mik,mkd->mid", grads, mesh.inv_jacobians[eids])
+    phys = np.einsum("mik,mkd->mid", grads, mesh.per_element(mesh.inv_jacobians, eids))
     local = np.asarray(coeffs)[mesh.elements[eids]]  # (m, nl)
     return np.einsum("mi,mid->md", local, phys)
 

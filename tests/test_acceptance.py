@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import solve_saddle_dense
+from conftest import element_volumes, solve_saddle_dense
 from fetps.assembly import ScatteredData, assemble_gram_full, assemble_system
 from fetps.errors import SingularSystemError
 from fetps.fields import get_field
@@ -70,8 +70,8 @@ def test_criterion_1_biorthogonality():
                 assert max_off < 1e-13 * c.max(), (kind, mesh.cells_per_axis)
                 assert (c > 0).all()
                 support = np.zeros(mesh.n_vertices)
-                for e in range(mesh.n_elements):
-                    support[mesh.elements[e]] += mesh.volumes[e]
+                for e, volume in enumerate(element_volumes(mesh)):
+                    support[mesh.elements[e]] += volume
                 assert np.abs(c - support / divisor).max() <= 1e-12 * support.max()
                 mesh = refine_uniform(mesh)
 

@@ -110,6 +110,33 @@ def test_fit_eval_pipeline(capsys, tmp_path):
     assert np.abs(grads - s.evaluate_gradient(qpts)).max() < 1e-10
 
 
+def test_fit_eval_pipeline_on_negative_domain(capsys, tmp_path):
+    # a comma list that starts with a minus is a value, not an option
+    domain = "-1,2,0.5,4"
+    pts, _ = synth(capsys, tmp_path, n=150, seed=3, domain=domain)
+    model = tmp_path / "model.json"
+    code, payload, _ = run_cli(
+        capsys, "fit", "--input", str(pts), "--domain", domain,
+        "--cells", "5,13", "--alpha", "1e-3", "--out", str(model),
+    )
+    assert code == 0
+    assert payload["converged"] is True
+    code, payload, _ = run_cli(
+        capsys, "eval", "--model", str(model), "--query", str(pts),
+        "--out", str(tmp_path / "eval.csv"),
+    )
+    assert code == 0
+    assert payload["n_points"] == 150
+
+
+def test_usage_error_prints_json(capsys):
+    code, payload, err = run_cli(capsys, "fit")
+    assert code == 2
+    assert payload["error"]["type"] == "input"
+    assert "--input" in payload["error"]["message"]
+    assert err.startswith("usage:")
+
+
 def test_fit_outputs_are_byte_identical(capsys, tmp_path):
     pts, _ = synth(capsys, tmp_path, n=80, seed=11, noise=0.02)
     models = []

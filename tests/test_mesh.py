@@ -6,14 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SMALL_MESHES, Box, element_patch, small_mesh
+from conftest import (
+    SMALL_MESHES,
+    Box,
+    element_patch,
+    element_volumes,
+    map_to_physical,
+    small_mesh,
+)
 from fetps.errors import DataFormatError, OutOfDomainError
 from fetps.mesh import (
     _REF_TOL,
     Domain,
     build_structured_mesh,
+    grid_from_dict,
     locate_points,
-    mesh_from_dict,
     mesh_to_dict,
     refine_uniform,
 )
@@ -41,7 +48,7 @@ def test_smallest_simplex_split(unit_square):
     mesh = build_structured_mesh(unit_square, (1, 1), "simplex")
     assert mesh.n_elements == 2
     assert mesh.n_vertices == 4
-    assert mesh.volumes.sum() == pytest.approx(1.0, abs=1e-14)
+    assert element_volumes(mesh).sum() == pytest.approx(1.0, abs=1e-14)
 
 
 def test_parallelotope_counts_and_h(unit_square):
@@ -62,7 +69,7 @@ def test_h_is_max_element_diameter(kind, box):
 def test_kuhn_split_volumes(unit_cube):
     mesh = build_structured_mesh(unit_cube, (1, 1, 1), "simplex")
     assert mesh.n_elements == 6
-    assert np.allclose(mesh.volumes, 1.0 / 6.0, atol=1e-14)
+    assert np.allclose(element_volumes(mesh), 1.0 / 6.0, atol=1e-14)
     assert (mesh.det_jacobians > 0).all()
 
 
@@ -90,9 +97,30 @@ def test_per_type_geometry_matches_connectivity(kind, box):
     nodes = mesh.element_pair.nodes
     extent = float(mesh.domain.extents.max())
     for e in range(mesh.n_elements):
-        mapped = mesh.map_to_physical(np.full(len(nodes), e), nodes)
+        mapped = map_to_physical(mesh, np.full(len(nodes), e), nodes)
         assert np.abs(mapped - mesh.vertices[mesh.elements[e]]).max() <= 1e-14 * extent
     assert (mesh.det_jacobians > 0).all()
+
+
+@pytest.mark.parametrize("kind,box", SMALL_MESHES)
+def test_per_element_geometry_matches_vertices(kind, box):
+    # the geometry is stored once per element type; per_element repeats it
+    mesh = small_mesh(kind, box)
+    types = mesh.n_elements // np.prod(mesh.cells_per_axis)
+    assert len(mesh.jacobians) == len(mesh.inv_jacobians) == len(mesh.det_jacobians) == types
+    # x_a - x_0 = J (xhat_a - xhat_0) at every node a of every element
+    nodes = mesh.element_pair.nodes
+    corners = mesh.vertices[mesh.elements]
+    jac = np.einsum("ja,eak->ekj", np.linalg.pinv(nodes[1:] - nodes[0]),
+                    corners[:, 1:] - corners[:, :1])
+    extent = float(mesh.domain.extents.max())
+    assert np.abs(mesh.per_element(mesh.jacobians) - jac).max() <= 1e-14 * extent
+    assert np.abs(mesh.per_element(mesh.inv_jacobians) @ jac - np.eye(mesh.dim)).max() <= 1e-13
+    assert np.allclose(mesh.per_element(mesh.det_jacobians), np.linalg.det(jac),
+                       rtol=1e-13, atol=0.0)
+    eids = np.arange(mesh.n_elements)[::-3]
+    assert np.array_equal(mesh.per_element(mesh.jacobians, eids),
+                          mesh.per_element(mesh.jacobians)[eids])
 
 
 def test_rejects_zero_cells(unit_square):
@@ -105,9 +133,10 @@ def test_rejects_zero_cells(unit_square):
 def test_covering_invariant(kind, dim):
     domain = Domain(np.full(dim, -0.5), np.array([2.0, 1.5, 1.0][:dim]))
     mesh = build_structured_mesh(domain, (3, 2, 2)[:dim], kind)
-    assert mesh.volumes.sum() == pytest.approx(domain.volume, rel=1e-12)
+    volume = np.prod(domain.extents)
+    assert element_volumes(mesh).sum() == pytest.approx(volume, rel=1e-12)
     fine = refine_uniform(mesh)
-    assert fine.volumes.sum() == pytest.approx(domain.volume, rel=1e-12)
+    assert element_volumes(fine).sum() == pytest.approx(volume, rel=1e-12)
 
 
 def test_refine_counts_and_h(unit_square):
@@ -127,10 +156,10 @@ def test_locate_round_trip(kind, dim, rng):
         ref = rng.dirichlet(np.ones(dim + 1), size=60)[:, :dim]
     else:
         ref = rng.uniform(-0.95, 0.95, (60, dim))
-    pts = mesh.map_to_physical(eids, ref)
+    pts = map_to_physical(mesh, eids, ref)
     found, refs = locate_points(mesh, pts)
     assert (found == eids).all()
-    assert np.abs(mesh.map_to_physical(found, refs) - pts).max() < 1e-12
+    assert np.abs(map_to_physical(mesh, found, refs) - pts).max() < 1e-12
 
 
 def test_locate_cell_center_element_zero(unit_square):
@@ -155,7 +184,7 @@ def test_locate_vertex_tie_breaks_to_smallest_id(unit_square):
     # shared-edge midpoints resolve the same way
     mids = (mesh.vertices[mesh.elements[:, 0]] + mesh.vertices[mesh.elements[:, 1]]) / 2.0
     eids, refs = locate_points(mesh, mids)
-    back = mesh.map_to_physical(eids, refs)
+    back = map_to_physical(mesh, eids, refs)
     assert np.abs(back - mids).max() < 1e-12
 
 
@@ -221,7 +250,7 @@ def assert_locates_like_brute_force(mesh, rng):
     pts = location_probes(mesh, rng)
     eids, refs = locate_points(mesh, pts)
     assert np.array_equal(eids, brute_locate(mesh, pts))
-    assert np.abs(mesh.map_to_physical(eids, refs) - pts).max() < 1e-12
+    assert np.abs(map_to_physical(mesh, eids, refs) - pts).max() < 1e-12
 
 
 LOCATE_BOXES = list(dict.fromkeys(box for _, box in SMALL_MESHES)) + [Box((1, 1))]
@@ -254,7 +283,7 @@ def test_locate_accepts_points_within_domain_tolerance(kind, unit_square):
     mesh = build_structured_mesh(unit_square, (128, 128), kind)
     pts = np.array([[1.0 + 0.9e-12, 0.5], [0.25, -0.9e-12], [1.0 + 0.9e-12] * 2])
     eids, refs = locate_points(mesh, pts)
-    assert np.abs(mesh.map_to_physical(eids, refs) - pts).max() < 1e-15
+    assert np.abs(map_to_physical(mesh, eids, refs) - pts).max() < 1e-15
     assert np.array_equal(eids, locate_points(mesh, np.clip(pts, 0.0, 1.0))[0])
 
 
@@ -312,7 +341,7 @@ def test_json_round_trip(unit_cube):
     mesh = build_structured_mesh(unit_cube, (2, 1, 2), "parallelotope")
     text = json.dumps(mesh_to_dict(mesh))
     assert set(json.loads(text)) == {"kind", "dim", "structured"}
-    loaded = mesh_from_dict(json.loads(text))
+    loaded = build_structured_mesh(*grid_from_dict(json.loads(text)))
     assert loaded.kind == mesh.kind
     assert np.array_equal(loaded.elements, mesh.elements)
     assert np.array_equal(loaded.vertices, mesh.vertices)
@@ -322,7 +351,7 @@ def test_json_round_trip(unit_cube):
 
 def test_json_dict_rejects_garbage():
     with pytest.raises(DataFormatError):
-        mesh_from_dict({"kind": "simplex"})
+        grid_from_dict({"kind": "simplex"})
 
 
 def grid_dict(**changes):
@@ -345,4 +374,4 @@ def grid_dict(**changes):
 ])
 def test_mesh_from_dict_rejects_bad_grids(data):
     with pytest.raises(DataFormatError):
-        mesh_from_dict(data)
+        grid_from_dict(data)
