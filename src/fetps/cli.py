@@ -143,6 +143,7 @@ def cmd_fit(args):
         "iterations": s.iterations,
         "residual": s.residual,
         "converged": converged,
+        "preconditioner": s.reduced.preconditioner,
         "functional_value": functional_value(s, data),
         "max_data_misfit": float(misfit.max()) if data.n else 0.0,
         "self_check_constant_deviation": (

@@ -89,6 +89,7 @@ def test_fit_eval_pipeline(capsys, tmp_path):
     assert payload["n_data"] == 150
     assert payload["residual"] < 1e-9
     assert payload["converged"] is True
+    assert payload["preconditioner"] == "jacobi"
     assert model.exists()
 
     out = tmp_path / "eval.csv"
@@ -161,6 +162,19 @@ def test_fit_meets_rtol_at_large_alpha(capsys, tmp_path):
     )
     assert code == 0
     assert payload["residual"] <= 1e-10
+    assert payload["converged"] is True
+    assert "warn" not in err.lower()
+
+
+def test_fit_reports_the_fourier_preconditioner(capsys, tmp_path):
+    # a stiff fit on a fine 2D grid takes the Fourier-symbol preconditioner
+    pts, _ = synth(capsys, tmp_path, n=5000, seed=1)
+    code, payload, err = run_cli(
+        capsys, "fit", "--input", str(pts), "--domain", "0,0,1,1",
+        "--cells", "64,64", "--alpha", "1", "--out", str(tmp_path / "m.json"),
+    )
+    assert code == 0
+    assert payload["preconditioner"] == "fourier"
     assert payload["converged"] is True
     assert "warn" not in err.lower()
 

@@ -175,6 +175,53 @@ def test_fit_is_invariant_to_translating_the_domain(mesh8, sites, alpha):
     assert np.abs(s.u - t.u).max() <= 1e-9
 
 
+def fit_without_warning(data, mesh, alpha):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return fit(data, mesh, FitConfig(alpha=alpha))
+
+
+@pytest.fixture(scope="module")
+def franke_sites():
+    # 5000 uniform sites on a 64^2 grid at alpha = 1: the Fourier-symbol path
+    return np.random.default_rng(1).uniform(0.0, 1.0, (5000, 2))
+
+
+def test_fourier_fit_is_invariant_to_translating_the_domain(unit_square, franke_sites):
+    shift = 1e5
+    zs = get_field("franke", 2).value(franke_sites)
+    moved = Domain(unit_square.lower + shift, unit_square.upper + shift)
+    s = fit_without_warning(ScatteredData(franke_sites, zs),
+                            build_structured_mesh(unit_square, (64, 64), "simplex"), 1.0)
+    t = fit_without_warning(ScatteredData(franke_sites + shift, zs),
+                            build_structured_mesh(moved, (64, 64), "simplex"), 1.0)
+    assert s.reduced.preconditioner == t.reduced.preconditioner == "fourier"
+    assert np.abs(s.u - t.u).max() <= 1e-9
+
+
+def test_fourier_fit_reproduces_affine_data(unit_square, franke_sites):
+    mesh = build_structured_mesh(unit_square, (64, 64), "simplex")
+    coef = np.array([0.4, 1.3, -0.8])
+    ell = lambda p: coef[0] + p @ coef[1:]
+    s = fit(ScatteredData(franke_sites, ell(franke_sites)), mesh, FitConfig(alpha=1.0),
+            solver=TIGHT)
+    assert s.reduced.preconditioner == "fourier"
+    assert np.abs(s.u - lagrange_interpolate(mesh, ell)).max() < 1e-8
+    assert np.abs(s.sigma - coef[1:, None]).max() < 1e-8
+
+
+def test_fourier_fit_converges_on_clustered_sites(unit_square):
+    # the symbol models the data term by its mean over uniform sites; sites
+    # drawn from N((0.3, 0.3), 0.1^2) are far from that and still converge
+    pts = np.random.default_rng(1).normal(0.3, 0.1, (6000, 2))
+    pts = pts[((pts >= 0.0) & (pts <= 1.0)).all(axis=1)][:5000]
+    assert len(pts) == 5000
+    data = ScatteredData(pts, get_field("franke", 2).value(pts))
+    s = fit_without_warning(data, build_structured_mesh(unit_square, (64, 64), "simplex"), 1.0)
+    assert s.reduced.preconditioner == "fourier"
+    assert s.residual <= SolverConfig().rtol
+
+
 @pytest.mark.parametrize("kind,box", TILED_MESHES)
 def test_fit_matches_the_solve_on_whole_mesh_blocks(kind, box, rng):
     # u depends only on R, f and the tiled S, so it is bit for bit that of
