@@ -6,6 +6,10 @@ to stderr. Exit codes: 0 ok, 2 input error, 3 domain error, 4 solver
 failure. To cap the worker threads of the numerical backend, set
 OMP_NUM_THREADS / OPENBLAS_NUM_THREADS before launching; numpy reads
 them once, when it is first imported.
+
+`eval` needs numpy only. The fitting modules, and with them scipy, are
+imported inside `fit`, `study` and `synth`, so an `eval` does not pay for
+them.
 """
 
 import argparse
@@ -17,7 +21,6 @@ import warnings
 
 import numpy as np
 
-from .assembly import ScatteredData
 from .errors import (
     DataFormatError,
     NoConvergenceError,
@@ -26,9 +29,7 @@ from .errors import (
 )
 from .fields import get_field
 from .mesh import Domain, build_structured_mesh
-from .smoother import FitConfig, Smoother, fit, functional_value
-from .study import ALL_COLUMNS, StudyConfig, run_study, sample_scattered
-from .system import SolverConfig
+from .model import FitConfig, Smoother
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -115,6 +116,10 @@ def _read_points_csv(path, need_value):
 
 
 def cmd_fit(args):
+    from .assembly import ScatteredData
+    from .smoother import fit, functional_value
+    from .system import SolverConfig
+
     points, values, dim = _read_points_csv(args.input, need_value=True)
     domain = _parse_domain(args.domain)
     if domain.dim != dim:
@@ -199,6 +204,8 @@ def _human_table(rows, columns, out):
 
 
 def cmd_study(args):
+    from .study import ALL_COLUMNS, StudyConfig, run_study
+
     domain = _parse_domain(args.domain)
     columns = tuple(c.strip() for c in args.columns.split(",")) if args.columns else ALL_COLUMNS
     cfg = StudyConfig(
@@ -257,6 +264,8 @@ def cmd_study(args):
 
 
 def cmd_synth(args):
+    from .study import sample_scattered
+
     domain = _parse_domain(args.domain)
     fld = get_field(args.field, domain.dim)
     if args.n < 1:
@@ -342,7 +351,8 @@ def build_parser():
     p.add_argument("--alpha", type=float, default=1e-3)
     p.add_argument("--n-data", type=int, default=2000, dest="n_data")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--columns", default="", help=f"subset of {','.join(ALL_COLUMNS)}")
+    p.add_argument("--columns", default="",
+                   help="subset of superconvergence,qh_l2,qh_h1,fit_energy (default: all)")
     p.add_argument("--out-csv", default="", dest="out_csv", help="also write rows as CSV")
     p.set_defaults(func=cmd_study)
 

@@ -30,7 +30,6 @@ some axis keeps the glued duals everywhere. See `assembly.dual_basis`.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
 SIMPLEX_CELLS = ("triangle", "tet")
 BOX_CELLS = ("quad", "hex")
@@ -173,17 +172,17 @@ class QuadratureRule:
     weights: np.ndarray
 
 
-def _gauss_01(m):
-    """Gauss-Legendre nodes/weights on (0, 1)."""
-    x, w = roots_legendre(m)
-    return (x + 1.0) / 2.0, w / 2.0
+def _gauss(m, a=0):
+    """Gauss nodes/weights on (-1, 1) for the weight (1-x)^a: Legendre at a=0."""
+    # imported here: loading the package and evaluating a model need no scipy
+    from scipy.special import roots_jacobi, roots_legendre
+
+    return roots_legendre(m) if a == 0 else roots_jacobi(m, a, 0.0)
 
 
 def _gauss_jacobi_01(m, a):
     """Nodes/weights on (0, 1) integrating (1-u)^a g(u) exactly for deg g <= 2m-1."""
-    if a == 0:
-        return _gauss_01(m)
-    x, w = roots_jacobi(m, a, 0.0)
+    x, w = _gauss(m, a)
     return (x + 1.0) / 2.0, w / 2.0 ** (a + 1)
 
 
@@ -210,8 +209,7 @@ def _simplex_rule(dim, degree):
 
 def _box_rule(dim, degree):
     """Tensor Gauss-Legendre rule on (-1, 1)^dim, exact to `degree` per axis."""
-    m = (degree + 2) // 2
-    x, w = roots_legendre(m)
+    x, w = _gauss((degree + 2) // 2)
     grids = np.meshgrid(*([x] * dim), indexing="ij")
     wgrids = np.meshgrid(*([w] * dim), indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=1)
@@ -220,7 +218,12 @@ def _box_rule(dim, degree):
 
 
 def quadrature(kind, degree):
-    """Quadrature rule on a reference cell, exact for polynomials to `degree`."""
+    """Quadrature rule on a reference cell, exact for polynomials to `degree`.
+
+    The Gauss roots come from scipy.special, imported on the first call.
+    Assembly and the quadrature-based norms call this; building a mesh and
+    evaluating a model do not.
+    """
     if kind not in CELL_DIMS:
         raise ValueError(f"unsupported element kind {kind!r}")
     if not isinstance(degree, (int, np.integer)) or degree < 1:

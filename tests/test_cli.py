@@ -359,6 +359,14 @@ def test_eval_model_with_infinite_iterations(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+def test_eval_deeply_nested_model(capsys, tmp_path):
+    # nesting past the JSON decoder's recursion limit
+    code, payload, err = eval_model_file(capsys, tmp_path, "[" * 200_000 + "]" * 200_000)
+    assert code == 2
+    assert payload["error"]["type"] == "input"
+    assert "Traceback" not in err
+
+
 def test_eval_model_not_an_object(capsys, tmp_path):
     code, payload, _ = eval_model_file(capsys, tmp_path, "[1, 2]")
     assert code == 2
@@ -417,6 +425,15 @@ def test_study_superconvergence_column_quads(capsys, tmp_path):
     orders = [r["orders"].get("superconvergence") for r in payload["rows"]]
     assert orders[0] is None
     assert all(1.8 <= o <= 2.2 for o in orders[1:])
+
+
+def test_study_help_lists_every_column(capsys):
+    # the help is a literal, so that building the parser imports no study code
+    from fetps.study import ALL_COLUMNS
+
+    with pytest.raises(SystemExit):
+        main(["study", "--help"])
+    assert ",".join(ALL_COLUMNS) in capsys.readouterr().out
 
 
 def test_study_rejects_bad_levels(capsys):

@@ -599,6 +599,18 @@ def test_smoother_load_rejects_corrupt(tmp_path):
         Smoother.load(path)
 
 
+@pytest.mark.parametrize("content", [
+    pytest.param(b"[" * 200_000 + b"]" * 200_000, id="nested-past-recursion-limit"),
+    pytest.param(b'{"format": "fetps-smoother\xff"}', id="not-utf-8"),
+])
+def test_smoother_load_rejects_undecodable_json(tmp_path, content):
+    # the decoder raises RecursionError and UnicodeDecodeError for these
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    with pytest.raises(DataFormatError, match="invalid smoother JSON"):
+        Smoother.load(path)
+
+
 def random_smoother(kind, box, rng):
     mesh = small_mesh(kind, box)
     return Smoother(mesh, rng.normal(size=mesh.n_vertices),
@@ -664,7 +676,7 @@ def test_smoother_load_checks_grid_before_building_mesh(franke_fit, monkeypatch)
     def no_build(*args):
         raise AssertionError("mesh built before the coefficients were checked")
 
-    monkeypatch.setattr("fetps.smoother.build_structured_mesh", no_build)
+    monkeypatch.setattr("fetps.model.build_structured_mesh", no_build)
     data = json.loads(json.dumps(franke_fit[3].to_dict()))
     data["mesh"]["structured"]["cells_per_axis"] = [100_000, 100_000]
     with pytest.raises(DataFormatError, match="shape"):
