@@ -5,12 +5,13 @@ multilinear finite elements; a biorthogonal dual basis makes the coupling
 Gram matrix diagonal, so the gradient and multiplier unknowns condense out
 into one sparse symmetric positive definite system in the smoother alone.
 
-Loading and evaluating a fitted model needs numpy only. `import fetps`
-loads the mesh, element, field and error modules and the model
-(`Smoother`, `FitConfig`, `fe_value`), and no scipy. The names of
-`assembly`, `system` and `study`, and `smoother`'s `fit`, `energy_norm*`,
-`functional_value`, `quasi_project*` and `lagrange_interpolate`, import
-scipy on first use. So does the first call of `quadrature`.
+Sampling data and loading and evaluating a fitted model need numpy only.
+`import fetps` loads the mesh, element, field (with `ScatteredData`) and
+error modules and the model (`Smoother`, `FitConfig`, `fe_value`), and no
+scipy. The names of `assembly`, `system` and `study`, and `smoother`'s
+`fit`, `energy_norm*`, `functional_value`, `quasi_project*` and
+`lagrange_interpolate`, import scipy on first use. So does the first call
+of `quadrature`.
 """
 
 from importlib import import_module as _import_module
@@ -23,7 +24,7 @@ from .errors import (
     OutOfDomainError,
     SingularSystemError,
 )
-from .fields import CATALOG, AnalyticField, get_field
+from .fields import CATALOG, AnalyticField, ScatteredData, get_field
 from .mesh import (
     Domain,
     Mesh,
@@ -39,10 +40,9 @@ __version__ = "0.1.0"
 # The scipy-backed submodules and their names, imported on first access
 # through the module `__getattr__` below (PEP 562).
 _FIT_SIDE = {
-    "assembly": ("ScatteredData", "SystemBlocks", "assemble_data_term",
-                 "assemble_gram_diagonal", "assemble_gram_full", "assemble_grad_coupling",
-                 "assemble_mass", "assemble_stiffness", "assemble_system",
-                 "evaluation_matrix"),
+    "assembly": ("SystemBlocks", "assemble_data_term", "assemble_gram_diagonal",
+                 "assemble_gram_full", "assemble_grad_coupling", "assemble_mass",
+                 "assemble_stiffness", "assemble_system", "evaluation_matrix"),
     "smoother": ("energy_norm", "energy_norm_difference", "fit", "functional_value",
                  "lagrange_interpolate", "quasi_project", "quasi_project_gradient"),
     "study": ("StudyConfig", "StudyRow", "estimate_orders", "ls_order", "run_study"),

@@ -61,6 +61,7 @@ import scipy.sparse as sp
 
 from .elements import quadrature
 from .errors import BiorthogonalityError
+from .fields import ScatteredData
 from .mesh import Domain, build_structured_mesh, locate_points
 
 # Exact for every reference tensor: the integrands are products of two
@@ -71,50 +72,6 @@ QUAD_DEGREE = 2
 # from both sides, so the grid holds every row class of the mesh-only
 # blocks and of the condensed operator.
 REFERENCE_CELLS = 6
-
-
-@dataclass(frozen=True)
-class ScatteredData:
-    """Measurement sites and values: z_i observed at points x_i."""
-
-    points: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        vals = np.asarray(self.values, dtype=float).ravel()
-        if pts.shape[0] != vals.shape[0]:
-            raise ValueError("points and values must have equal length")
-        if pts.shape[1] not in (2, 3):
-            raise ValueError("points must be in R^2 or R^3")
-        if not (np.isfinite(pts).all() and np.isfinite(vals).all()):
-            raise ValueError("points and values must be finite")
-        pts.setflags(write=False)
-        vals.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def n(self):
-        return len(self.values)
-
-    @property
-    def dim(self):
-        return self.points.shape[1]
-
-    def affine_rank(self):
-        """Dimension of the affine span of the sites."""
-        centered = self.points - self.points.mean(axis=0)
-        if len(centered) == 0:
-            return 0
-        s = np.linalg.svd(centered, compute_uv=False)
-        if s.size == 0 or s[0] == 0.0:
-            return 0
-        return int(np.sum(s > 1e-12 * s[0]))
-
-    def admissible(self):
-        """True when the sites contain d+1 affinely independent points."""
-        return self.n >= self.dim + 1 and self.affine_rank() == self.dim
 
 
 def _element_matrices(mesh, test, trial, geometry=None):

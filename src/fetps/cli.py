@@ -7,9 +7,9 @@ failure. To cap the worker threads of the numerical backend, set
 OMP_NUM_THREADS / OPENBLAS_NUM_THREADS before launching; numpy reads
 them once, when it is first imported.
 
-`eval` needs numpy only. The fitting modules, and with them scipy, are
-imported inside `fit`, `study` and `synth`, so an `eval` does not pay for
-them.
+`eval` and `synth` need numpy only. The fitting modules, and with them
+scipy, are imported inside `fit` and `study`, so the others do not pay
+for them.
 """
 
 import argparse
@@ -27,7 +27,7 @@ from .errors import (
     OutOfDomainError,
     SingularSystemError,
 )
-from .fields import get_field
+from .fields import ScatteredData, get_field, sample_scattered
 from .mesh import Domain, build_structured_mesh
 from .model import FitConfig, Smoother
 
@@ -78,7 +78,7 @@ def _parse_cells(text, dim):
 def _read_points_csv(path, need_value):
     """Read x,y[,z][,value] rows; returns (points, values-or-None, dim)."""
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        fh = open(path, "r", encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise DataFormatError(f"cannot open {path}: {exc}") from exc
     with fh:
@@ -116,7 +116,6 @@ def _read_points_csv(path, need_value):
 
 
 def cmd_fit(args):
-    from .assembly import ScatteredData
     from .smoother import fit, functional_value
     from .system import SolverConfig
 
@@ -264,8 +263,6 @@ def cmd_study(args):
 
 
 def cmd_synth(args):
-    from .study import sample_scattered
-
     domain = _parse_domain(args.domain)
     fld = get_field(args.field, domain.dim)
     if args.n < 1:

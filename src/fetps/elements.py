@@ -32,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 SIMPLEX_CELLS = ("triangle", "tet")
-BOX_CELLS = ("quad", "hex")
 CELL_DIMS = {"triangle": 2, "tet": 3, "quad": 2, "hex": 3}
 
 # Reference volumes: 1/d! for simplices, 2^d for boxes.

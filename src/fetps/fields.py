@@ -1,13 +1,60 @@
-"""Built-in analytic target fields for synthetic data and convergence studies.
+"""Scattered data and the analytic fields that synthetic data is drawn from.
 
-Every field exposes `value(points)` and `gradient(points)` with points of
-shape (m, d). Fields marked dim=None work in 2D and 3D; `franke` is the
-classic 2D scattered-data test surface.
+`ScatteredData` holds the measurement sites and values a fit takes, and
+`sample_scattered` draws them from a catalog field. Every field exposes
+`value(points)` and `gradient(points)` with points of shape (m, d), and
+lists the dimensions it supports in `dims`; `franke` is the classic 2D
+scattered-data test surface. The module needs numpy only.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+
+
+@dataclass(frozen=True)
+class ScatteredData:
+    """Measurement sites and values: z_i observed at points x_i."""
+
+    points: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        # copies, so that freezing them leaves the caller's arrays writable
+        pts = np.atleast_2d(np.array(self.points, dtype=float))
+        vals = np.array(self.values, dtype=float).ravel()
+        if pts.shape[0] != vals.shape[0]:
+            raise ValueError("points and values must have equal length")
+        if pts.shape[1] not in (2, 3):
+            raise ValueError("points must be in R^2 or R^3")
+        if not (np.isfinite(pts).all() and np.isfinite(vals).all()):
+            raise ValueError("points and values must be finite")
+        pts.setflags(write=False)
+        vals.setflags(write=False)
+        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "values", vals)
+
+    @property
+    def n(self):
+        return len(self.values)
+
+    @property
+    def dim(self):
+        return self.points.shape[1]
+
+    def affine_rank(self):
+        """Dimension of the affine span of the sites."""
+        centered = self.points - self.points.mean(axis=0)
+        if len(centered) == 0:
+            return 0
+        s = np.linalg.svd(centered, compute_uv=False)
+        if s.size == 0 or s[0] == 0.0:
+            return 0
+        return int(np.sum(s > 1e-12 * s[0]))
+
+    def admissible(self):
+        """True when the sites contain d+1 affinely independent points."""
+        return self.n >= self.dim + 1 and self.affine_rank() == self.dim
 
 
 @dataclass(frozen=True)
@@ -133,3 +180,19 @@ def get_field(name, dim):
     if dim not in f.dims:
         raise ValueError(f"field {name!r} does not support dimension {dim}")
     return f
+
+
+def sample_scattered(fld, domain, n, seed, noise=0.0):
+    """Seeded uniform sites in the domain with field values (plus noise).
+
+    noise is the standard deviation of the added Gaussian noise; it must be
+    finite and >= 0 (ValueError otherwise).
+    """
+    if not (np.isfinite(noise) and noise >= 0):
+        raise ValueError(f"noise must be finite and >= 0, got {noise}")
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(domain.lower, domain.upper, size=(n, domain.dim))
+    vals = np.asarray(fld.value(pts), dtype=float)
+    if noise > 0:
+        vals = vals + rng.normal(0.0, noise, size=n)
+    return ScatteredData(pts, vals)

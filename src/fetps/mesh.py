@@ -33,8 +33,8 @@ class Domain:
     upper: np.ndarray
 
     def __post_init__(self):
-        lo = np.asarray(self.lower, dtype=float)
-        hi = np.asarray(self.upper, dtype=float)
+        lo = np.array(self.lower, dtype=float)
+        hi = np.array(self.upper, dtype=float)
         if lo.ndim != 1 or lo.shape != hi.shape:
             raise ValueError("domain corners must be 1D arrays of equal length")
         if lo.size not in (2, 3):

@@ -12,14 +12,14 @@ minimizer has no closed form; its orders are therefore Richardson-style
 self-referential estimates, which is reported as such by the CLI. Each
 level halves the cells of the one before, so the coarser fit lies in the
 finer FE space and the norm is the exact block form on the finer mesh
-(`energy_norm_difference`).
+(`energy_norm_difference`). Its data are drawn once, by
+`fields.sample_scattered`, and every level fits the same sites.
 """
 
 import numpy as np
 from dataclasses import dataclass, field
 
-from .assembly import ScatteredData
-from .fields import get_field
+from .fields import get_field, sample_scattered
 from .mesh import Domain, build_structured_mesh, refine_uniform
 from .smoother import (
     FitConfig,
@@ -93,22 +93,6 @@ def quasi_projection_errors(mesh, fld):
     l2sq = float(np.sum(weights * (uvals - qvals) ** 2))
     h1sq = l2sq + float(np.sum(weights * ((gexact - qgrads) ** 2).sum(axis=2)))
     return float(np.sqrt(l2sq)), float(np.sqrt(h1sq))
-
-
-def sample_scattered(fld, domain, n, seed, noise=0.0):
-    """Seeded uniform sites in the domain with field values (plus noise).
-
-    noise is the standard deviation of the added Gaussian noise; it must be
-    finite and >= 0 (ValueError otherwise).
-    """
-    if not (np.isfinite(noise) and noise >= 0):
-        raise ValueError(f"noise must be finite and >= 0, got {noise}")
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(domain.lower, domain.upper, size=(n, domain.dim))
-    vals = np.asarray(fld.value(pts), dtype=float)
-    if noise > 0:
-        vals = vals + rng.normal(0.0, noise, size=n)
-    return ScatteredData(pts, vals)
 
 
 def estimate_orders(errors):

@@ -390,6 +390,18 @@ def test_scattered_data_validation():
     assert tri.admissible()
 
 
+def test_scattered_data_copies_the_callers_arrays():
+    pts = np.array([[0.1, 0.2], [0.9, 0.1], [0.5, 0.8]])
+    z = np.array([1.0, 2.0, 3.0])
+    data = ScatteredData(pts, z)
+    assert pts.flags.writeable and z.flags.writeable
+    pts[0, 0] = 0.7
+    z[0] = 99.0
+    assert data.points[0, 0] == 0.1
+    assert data.values[0] == 1.0
+    assert not (data.points.flags.writeable or data.values.flags.writeable)
+
+
 def test_inf_sup_witness_stays_bounded(unit_square):
     # smallest singular value of diag(c)^{-1/2} Gram mass^{-1/2} across levels
     for kind in ("simplex", "parallelotope"):

@@ -130,6 +130,34 @@ def test_fit_eval_pipeline_on_negative_domain(capsys, tmp_path):
     assert payload["n_points"] == 150
 
 
+def test_fit_and_eval_accept_a_byte_order_mark(capsys, tmp_path):
+    # spreadsheet "CSV UTF-8" export starts the file with EF BB BF
+    data, _ = synth(capsys, tmp_path, name="data.csv", n=80, seed=5, noise=0.01)
+    query, _ = synth(capsys, tmp_path, name="query.csv", n=30, seed=6)
+    results = []
+    for prefix in (b"", b"\xef\xbb\xbf"):
+        tag = "bom" if prefix else "plain"
+        data_in = tmp_path / f"data_{tag}.csv"
+        query_in = tmp_path / f"query_{tag}.csv"
+        data_in.write_bytes(prefix + data.read_bytes())
+        query_in.write_bytes(prefix + query.read_bytes())
+        model, out = tmp_path / f"model_{tag}.json", tmp_path / f"eval_{tag}.csv"
+        code, fitted, _ = run_cli(
+            capsys, "fit", "--input", str(data_in), "--domain", "0,0,1,1",
+            "--cells", "8,8", "--alpha", "1e-3", "--out", str(model),
+        )
+        assert code == 0
+        code, evaluated, _ = run_cli(
+            capsys, "eval", "--model", str(model), "--query", str(query_in),
+            "--out", str(out),
+        )
+        assert code == 0
+        del fitted["model"], evaluated["output"]
+        results.append((fitted, evaluated, model.read_bytes(), out.read_bytes()))
+    assert results[1] == results[0]
+    assert results[0][1]["n_points"] == 30
+
+
 def test_usage_error_prints_json(capsys):
     code, payload, err = run_cli(capsys, "fit")
     assert code == 2

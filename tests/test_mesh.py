@@ -44,6 +44,17 @@ def test_domain_rejects_non_finite_corners(lower, upper):
         Domain(np.array(lower), np.array(upper))
 
 
+def test_domain_copies_the_callers_arrays():
+    lo, hi = np.zeros(2), np.ones(2)
+    domain = Domain(lo, hi)
+    assert lo.flags.writeable and hi.flags.writeable
+    lo[0] = -5.0
+    hi[1] = 7.0
+    assert domain.lower.tolist() == [0.0, 0.0]
+    assert domain.upper.tolist() == [1.0, 1.0]
+    assert not (domain.lower.flags.writeable or domain.upper.flags.writeable)
+
+
 def test_smallest_simplex_split(unit_square):
     mesh = build_structured_mesh(unit_square, (1, 1), "simplex")
     assert mesh.n_elements == 2

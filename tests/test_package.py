@@ -11,8 +11,7 @@ import pytest
 
 import fetps
 import fetps.smoother
-from fetps.assembly import ScatteredData
-from fetps.fields import get_field
+from fetps.fields import ScatteredData, get_field
 from fetps.mesh import Domain, build_structured_mesh
 
 PUBLIC_NAMES = [
@@ -41,12 +40,16 @@ def test_public_names():
     assert set(PUBLIC_NAMES) <= set(namespace)
     assert fetps.Smoother is fetps.smoother.Smoother
     assert fetps.fit is fetps.smoother.fit
+    # the old import paths name the same objects, not copies
+    assert fetps.ScatteredData is fetps.fields.ScatteredData is fetps.assembly.ScatteredData
+    assert fetps.study.sample_scattered is fetps.fields.sample_scattered
     with pytest.raises(AttributeError, match="no_such_name"):
         fetps.no_such_name
 
 
-# Runs in a fresh interpreter: load, evaluate and `fetps eval` a model, then
-# check that no scipy module was imported; `fetps.fit` then imports it.
+# Runs in a fresh interpreter: load, evaluate and `fetps eval` a model and
+# `fetps synth` samples, then check that no scipy module was imported;
+# `fetps.fit` then imports it.
 READ_PATH = textwrap.dedent("""
     import sys
     import numpy as np
@@ -60,6 +63,8 @@ READ_PATH = textwrap.dedent("""
     s.evaluate_gradient(pts)
     s.evaluate_with_gradient(pts)
     assert main(["eval", "--model", model, "--query", query, "--out", out]) == 0
+    assert main(["synth", "--field", "franke", "--domain", "0,0,1,1", "--n", "20",
+                 "--out", out + ".synth.csv"]) == 0
 
     def scipy_modules():
         return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
